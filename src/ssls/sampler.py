@@ -153,12 +153,21 @@ def almc_update(
         raise ValueError("predicted ensemble must be a non-empty (n, d) array")
     h = plan.step_size
     root_2h = np.sqrt(2.0 * h)
+    drift_buf = np.empty_like(z)
+    noise = np.empty_like(z)
     for m, beta in enumerate(plan.betas, start=1):
         for ell in range(plan.n_inner):
-            drift = annealed_drift(beta, grad_loglik_fn(z), score_fn(z))
+            # z <- (z + h * drift) + sqrt(2h) * noise, drift = beta * grad + score
+            np.multiply(grad_loglik_fn(z), beta, out=drift_buf)
+            drift_buf += score_fn(z)
+            drift = drift_buf
             if plan.clip_norm is not None:
                 drift = clip_score(drift, plan.clip_norm)
-            z = z + h * drift + root_2h * rng.standard_normal(z.shape)
+            np.multiply(drift, h, out=drift_buf)
+            z += drift_buf
+            rng.standard_normal(out=noise)
+            noise *= root_2h
+            z += noise
             if not np.isfinite(z).all():
                 raise NonFiniteEnsembleError(m, ell)
     return z

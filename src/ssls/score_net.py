@@ -21,7 +21,7 @@ different scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator
@@ -103,6 +103,10 @@ class ScoreNetwork:
     ``(out_l,)``.  Input and output dimensions both equal the state
     dimension ``d``.  ``shift`` and ``scale`` are the per-dimension mean and
     standard deviation captured from the training ensemble.
+
+    The kernels write into a private workspace (see the module docstring).
+    It is left out of ``repr`` and equality, and :meth:`copy` starts the
+    copy with an empty one.
     """
 
     weights: list[Array]
@@ -110,6 +114,7 @@ class ScoreNetwork:
     activation: str
     shift: Array
     scale: Array
+    _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -128,17 +133,46 @@ class ScoreNetwork:
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(w.shape[1] for w in self.weights) + (self.weights[-1].shape[0],)
 
-    def _activate(self, t: Array) -> Array:
+    def _buffer(self, key, rows: int, cols: int) -> Array:
+        """The leading ``rows`` of workspace array ``key``, grown when too short."""
+        buf = self._work.get(key)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
+            buf = self._work[key] = np.empty((rows, cols))
+        return buf[:rows]
+
+    def _activate(self, t: Array) -> None:
+        """Apply the hidden activation to ``t`` in place."""
         if self.activation == "sigmoid":
-            return expit(t)
-        return np.maximum(t, 0.0)
+            expit(t, out=t)
+        else:
+            np.maximum(t, 0.0, out=t)
+
+    def _kernel(self, z: Array) -> list[Array]:
+        """Forward pass of whitened ``(m, d)`` inputs through the workspace.
+
+        Returns ``z`` followed by the output of every layer: the hidden
+        activations, then the network output.  Those are workspace views,
+        overwritten by the next call.
+        """
+        acts = [z]
+        last = len(self.weights) - 1
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            a = acts[-1]
+            out = self._buffer(l, a.shape[0], w.shape[0])
+            if a.shape[1] == 1:  # a k=1 product is one exact multiply
+                np.multiply(a, w.T, out=out)
+            else:
+                np.matmul(a, w.T, out=out)
+            out += b
+            if l < last:
+                self._activate(out)
+            acts.append(out)
+        return acts
 
     def raw(self, z: Array) -> Array:
         """Evaluate the network in whitened coordinates."""
-        a = np.asarray(z, dtype=float)
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = self._activate(a @ w.T + b)
-        return a @ self.weights[-1].T + self.biases[-1]
+        z = np.asarray(z, dtype=float)
+        return self._kernel(z.reshape(-1, self.dim))[-1].reshape(z.shape).copy()
 
     def forward(self, x: Array) -> Array:
         """Score estimate at ``x`` in original coordinates.
@@ -150,8 +184,11 @@ class ScoreNetwork:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected trailing dimension {self.dim}, got {x.shape[-1]}")
-        z = (x - self.shift) / self.scale
-        return self.raw(z) / self.scale
+        rows = x.reshape(-1, self.dim)
+        z = self._buffer("in", rows.shape[0], self.dim)
+        np.subtract(rows, self.shift, out=z)
+        z /= self.scale
+        return np.divide(self._kernel(z)[-1], self.scale).reshape(x.shape)
 
     __call__ = forward
 
@@ -193,18 +230,44 @@ def whiten(ensemble: Array) -> tuple[Array, Array, Array]:
     return (ensemble - shift) / scale, shift, scale
 
 
-def _forward_cached(net: ScoreNetwork, z: Array) -> tuple[Array, list[Array], list[Array]]:
-    """Forward pass keeping pre-activations and activations for backprop."""
-    acts = [np.asarray(z, dtype=float)]
-    pres = []
-    a = acts[0]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        pre = a @ w.T + b
-        pres.append(pre)
-        a = net._activate(pre)
-        acts.append(a)
-    out = a @ net.weights[-1].T + net.biases[-1]
-    return out, pres, acts
+def _param_count(sizes: tuple[int, ...]) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _param_views(flat: Array, sizes: tuple[int, ...]) -> tuple[list[Array], list[Array]]:
+    """Per-layer views into a flat parameter vector: all weights, then all biases."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in))
+        pos += fan_in * fan_out
+    for fan_out in sizes[1:]:
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
+def _dsm_forward(net: ScoreNetwork, batch: Array, smoothing: float, noise: Array) -> list[Array]:
+    """Check a score-matching batch and run the kernel on its perturbation.
+
+    Returns the kernel's activations, with the network output overwritten
+    in place by the residual ``smoothing * out + noise``.
+    """
+    if smoothing <= 0:
+        raise ValueError("smoothing level must be positive")
+    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    noise = np.atleast_2d(np.asarray(noise, dtype=float))
+    if batch.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    if noise.shape != batch.shape:
+        raise ValueError("need exactly one noise draw per batch element")
+    perturbed = net._buffer("in", *batch.shape)
+    np.multiply(noise, smoothing, out=perturbed)
+    perturbed += batch
+    acts = net._kernel(perturbed)
+    acts[-1] *= smoothing
+    acts[-1] += noise
+    return acts
 
 
 def dsm_loss(net: ScoreNetwork, batch: Array, smoothing: float, noise: Array) -> float:
@@ -213,59 +276,55 @@ def dsm_loss(net: ScoreNetwork, batch: Array, smoothing: float, noise: Array) ->
     ``(1/m) * sum_i || smoothing * net.raw(z_i + smoothing * eps_i) + eps_i ||^2``
     with one standard-normal draw per batch element.
     """
-    if smoothing <= 0:
-        raise ValueError("smoothing level must be positive")
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    noise = np.atleast_2d(np.asarray(noise, dtype=float))
-    if batch.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    if noise.shape != batch.shape:
-        raise ValueError("need exactly one noise draw per batch element")
-    resid = smoothing * net.raw(batch + smoothing * noise) + noise
+    resid = _dsm_forward(net, batch, smoothing, noise)[-1]
     return float(np.mean(np.sum(resid**2, axis=1)))
 
 
 def dsm_loss_gradient(
-    net: ScoreNetwork, batch: Array, smoothing: float, noise: Array
+    net: ScoreNetwork, batch: Array, smoothing: float, noise: Array, out: Array | None = None
 ) -> tuple[float, list[Array], list[Array]]:
     """Loss and its exact gradient with respect to every weight and bias.
+
+    ``out``, when given, is a flat vector with one entry per parameter that
+    receives the gradient: every weight matrix, then every bias, in layer
+    order.
 
     Returns
     -------
     (loss, weight_grads, bias_grads)
-        Gradient arrays match the shapes of ``net.weights`` / ``net.biases``.
+        Gradient arrays match the shapes of ``net.weights`` / ``net.biases``
+        and are views into ``out``.
     """
-    if smoothing <= 0:
-        raise ValueError("smoothing level must be positive")
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    noise = np.atleast_2d(np.asarray(noise, dtype=float))
-    if batch.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    if noise.shape != batch.shape:
-        raise ValueError("need exactly one noise draw per batch element")
-    m = batch.shape[0]
+    acts = _dsm_forward(net, batch, smoothing, noise)
+    delta = acts[-1]
+    m = delta.shape[0]
+    loss = float(np.mean(np.sum(delta**2, axis=1)))
 
-    perturbed = batch + smoothing * noise
-    out, pres, acts = _forward_cached(net, perturbed)
-    resid = smoothing * out + noise
-    loss = float(np.mean(np.sum(resid**2, axis=1)))
-
-    n_layers = len(net.weights)
-    weight_grads: list[Array] = [np.empty(0)] * n_layers
-    bias_grads: list[Array] = [np.empty(0)] * n_layers
+    sizes = net.layer_sizes
+    if out is None:
+        out = np.empty(_param_count(sizes))
+    weight_grads, bias_grads = _param_views(out, sizes)
 
     # d loss / d out, then walk the layers backwards.
-    delta = (2.0 * smoothing / m) * resid
-    for l in range(n_layers - 1, -1, -1):
-        weight_grads[l] = delta.T @ acts[l]
-        bias_grads[l] = delta.sum(axis=0)
+    delta *= 2.0 * smoothing / m
+    for l in range(len(net.weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[l], out=weight_grads[l])
+        np.sum(delta, axis=0, out=bias_grads[l])
         if l > 0:
-            delta = delta @ net.weights[l]
-            if net.activation == "sigmoid":
-                a = acts[l]
-                delta = delta * a * (1.0 - a)
+            w, a = net.weights[l], acts[l]
+            prev = net._buffer(("delta", l), m, w.shape[1])
+            if w.shape[0] == 1:  # a k=1 product is one exact multiply
+                np.multiply(delta, w, out=prev)
             else:
-                delta = delta * (pres[l - 1] > 0.0)
+                np.matmul(delta, w, out=prev)
+            if net.activation == "sigmoid":
+                prev *= a
+                one_minus_a = net._buffer(("tmp", l), m, w.shape[1])
+                np.subtract(1.0, a, out=one_minus_a)
+                prev *= one_minus_a
+            else:
+                prev *= a > 0.0
+            delta = prev
     return loss, weight_grads, bias_grads
 
 
@@ -293,7 +352,8 @@ def train_score(
     perturbation noise redrawn every epoch.  When ``init`` is given and
     ``config.warm_start`` is set, optimization starts from ``init``'s
     weights (the whitening transform is still recomputed from the current
-    ensemble); otherwise weights are freshly initialized.
+    ensemble) and the new network takes over ``init``'s workspace;
+    otherwise weights are freshly initialized.
 
     Raises
     ------
@@ -309,15 +369,18 @@ def train_score(
 
     whitened, shift, scale = whiten(ensemble)
     sizes = (d, *config.hidden, d)
-    if init is not None and config.warm_start:
-        if init.layer_sizes != sizes:
-            raise ValueError(
-                f"warm-start network has layer sizes {init.layer_sizes}, expected {sizes}"
-            )
-        weights = [w.copy() for w in init.weights]
-        biases = [b.copy() for b in init.biases]
-    else:
-        weights, biases = _init_layers(sizes, rng)
+    warm = init is not None and config.warm_start
+    if warm and init.layer_sizes != sizes:
+        raise ValueError(
+            f"warm-start network has layer sizes {init.layer_sizes}, expected {sizes}"
+        )
+    # Adam runs on one flat vector; the network's weights and biases are
+    # views into it.
+    params = np.empty(_param_count(sizes))
+    weights, biases = _param_views(params, sizes)
+    start_weights, start_biases = (init.weights, init.biases) if warm else _init_layers(sizes, rng)
+    for view, value in zip(weights + biases, start_weights + start_biases):
+        view[...] = value
     net = ScoreNetwork(
         weights=weights,
         biases=biases,
@@ -325,11 +388,15 @@ def train_score(
         shift=shift,
         scale=scale,
     )
+    if warm:
+        # One workspace alive at a time; init gets a new one if it is called.
+        net._work, init._work = init._work, {}
 
-    # Adam state, one slot per parameter array (weights first, then biases).
-    params = net.weights + net.biases
-    first_moment = [np.zeros_like(p) for p in params]
-    second_moment = [np.zeros_like(p) for p in params]
+    grad = np.empty_like(params)
+    first_moment = np.zeros_like(params)
+    second_moment = np.zeros_like(params)
+    step = np.empty_like(params)
+    denom = np.empty_like(params)
     t = 0
     b1, b2 = config.adam_beta1, config.adam_beta2
 
@@ -342,8 +409,8 @@ def train_score(
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, w_grads, b_grads = dsm_loss_gradient(
-                net, whitened[idx], config.smoothing, noise[idx]
+            loss, _, _ = dsm_loss_gradient(
+                net, whitened[idx], config.smoothing, noise[idx], out=grad
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -351,12 +418,20 @@ def train_score(
                 )
             t += 1
             correction = np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-            for p, g, m1, m2 in zip(params, w_grads + b_grads, first_moment, second_moment):
-                m1 *= b1
-                m1 += (1.0 - b1) * g
-                m2 *= b2
-                m2 += (1.0 - b2) * g**2
-                p -= lr * correction * m1 / (np.sqrt(m2) + config.adam_eps)
+            # m1 = b1*m1 + (1-b1)*g;  m2 = b2*m2 + (1-b2)*g**2;
+            # params -= (lr*correction) * m1 / (sqrt(m2) + eps)
+            first_moment *= b1
+            np.multiply(grad, 1.0 - b1, out=step)
+            first_moment += step
+            second_moment *= b2
+            np.square(grad, out=step)
+            step *= 1.0 - b2
+            second_moment += step
+            np.sqrt(second_moment, out=denom)
+            denom += config.adam_eps
+            np.multiply(first_moment, lr * correction, out=step)
+            step /= denom
+            params -= step
     return net
 
 
