@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import expit
 
 Array = np.ndarray
 
@@ -35,6 +34,20 @@ ACTIVATIONS = ("sigmoid", "relu")
 DEGENERATE_SCALE = 1e-8
 
 _ACTIVATION_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
+
+
+def _sigmoid(t: Array) -> Array:
+    """Logistic function ``1 / (1 + exp(-t))``, computed in place on ``t``.
+
+    For ``t`` below about -709.8, ``exp(-t)`` overflows to inf and the
+    result is exactly 0, as ``scipy.special.expit`` gives there.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        t += 1.0
+        np.divide(1.0, t, out=t)
+    return t
 
 
 class TrainingDivergedError(RuntimeError):
@@ -143,7 +156,7 @@ class ScoreNetwork:
     def _activate(self, t: Array) -> None:
         """Apply the hidden activation to ``t`` in place."""
         if self.activation == "sigmoid":
-            expit(t, out=t)
+            _sigmoid(t)
         else:
             np.maximum(t, 0.0, out=t)
 
