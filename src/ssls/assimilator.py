@@ -151,8 +151,9 @@ def assimilate(
     Raises
     ------
     AssimilationError
-        When score training diverges or the ensemble becomes non-finite;
-        the failing step index is recorded on the exception.
+        When score training diverges, the ensemble becomes non-finite, or
+        its mean or std is not finite; the failing step index is recorded
+        on the exception.
     """
     rng = np.random.default_rng(cfg.seed)
     records: list[AssimilationRecord] = []
@@ -185,10 +186,17 @@ def assimilate(
 
 
 def _record(k: int, ensemble: Array, run: ReferenceRun, cfg: SslsConfig) -> AssimilationRecord:
+    # A diverged ensemble can stay finite (particles near 1e199) while its
+    # statistics overflow; such a step failed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ensemble.mean(axis=0)
+        std = ensemble.std(axis=0, ddof=1)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise AssimilationError(k, "posterior ensemble mean or std is not finite")
     return AssimilationRecord(
         step=k,
-        mean=ensemble.mean(axis=0),
-        std=ensemble.std(axis=0, ddof=1),
+        mean=mean,
+        std=std,
         reference=run.states[k - 1],
         observation=run.observations[k - 1],
         metrics=ensemble_metrics(k, ensemble, run.states[k - 1]),

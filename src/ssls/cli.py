@@ -41,6 +41,9 @@ Config schema (JSON object; unknown keys are rejected)::
 the linear-Gaussian experiment; it always uses the true reference prior, so
 ``init_prior_shift`` affects only the ensemble methods.  Floats in the CSV
 files carry 17 significant digits and round-trip exactly.
+
+The exit status is 1 for an invalid config and 2 when an SSLS run fails;
+the message on standard error names the failing step.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .assimilator import AssimilationRecord, SslsConfig, assimilate
+from .assimilator import AssimilationError, AssimilationRecord, SslsConfig, assimilate
 from .models import (
     ModelSpec,
     ReferenceRun,
@@ -534,6 +537,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except AssimilationError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(f"wrote results to {out_dir}")
     return 0
 

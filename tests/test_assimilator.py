@@ -172,3 +172,17 @@ class TestAssimilate:
         with pytest.raises(AssimilationError) as excinfo:
             assimilate(model, run, cfg)
         assert excinfo.value.step == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_diverged_ensemble_with_finite_particles_fails(self, seed):
+        # Step size 5 without clipping: particles reach ~1e199, so none is
+        # inf or NaN, but the ensemble std overflows.
+        model = make_linear_gaussian()
+        run = simulate_reference(model, 1, rng=np.random.default_rng(seed))
+        cfg = light_config(n=50, seed=seed)
+        cfg.train = TrainConfig(smoothing=0.1, epochs=4, batch_size=32)
+        cfg.init_epochs = 6
+        cfg.plan = AnnealPlan(step_size=5.0, clip_norm=None)
+        with pytest.raises(AssimilationError, match="not finite") as excinfo:
+            assimilate(model, run, cfg)
+        assert excinfo.value.step == 1

@@ -199,6 +199,14 @@ class TestMain:
         assert main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_assimilation_error_exit_two(self, tmp_path, capsys):
+        ssls = dict(FAST_SSLS, n_temperatures=10, n_inner=20, step_size=5.0, clip_norm=None)
+        path = write_config(tmp_path, ensemble_size=50, steps=1, ssls=ssls)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "assimilation failed at step 1:" in err
+        assert "Traceback" not in err
+
     def test_missing_config_exit_nonzero(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 1
         assert "not found" in capsys.readouterr().err
