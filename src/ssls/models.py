@@ -406,9 +406,9 @@ def simulate_reference(
     """Simulate a reference trajectory and its observations.
 
     The initial state is drawn from ``model.reference_initial_sampler``.  At
-    every time index that is a multiple of ``mutation_period`` the state is
-    negated before the next dynamics step, producing the sign-flip mutations
-    used by the double-well experiments.  One observation is drawn at each of
+    every time index below ``steps`` that is a multiple of
+    ``mutation_period`` the state is negated before the next dynamics step,
+    producing the sign-flip mutations used by the double-well experiments.  One observation is drawn at each of
     the ``steps`` stored states.
 
     Parameters
@@ -437,10 +437,11 @@ def simulate_reference(
     for k in range(1, steps + 1):
         states[k - 1] = x
         observations[k - 1] = model.sample_observation(rng, x)
-        if mutation_period is not None and k % mutation_period == 0:
-            mutation_times.append(k)
-            x = -x
         if k < steps:
+            # A flip after the last stored state would change nothing.
+            if mutation_period is not None and k % mutation_period == 0:
+                mutation_times.append(k)
+                x = -x
             v = model.dynamics_noise_sampler(rng, 1)[0]
             x = model.dynamics(x, v)
 

@@ -179,7 +179,8 @@ class TestSimulateReference:
         run = simulate_reference(
             make_double_well(), 60, mutation_period=20, rng=np.random.default_rng(0)
         )
-        assert run.mutation_times == (20, 40, 60)
+        # no flip after the last stored state
+        assert run.mutation_times == (20, 40)
 
     def test_mutation_flips_the_trajectory(self):
         run = simulate_reference(
