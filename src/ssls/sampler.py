@@ -11,6 +11,11 @@ particles into the next one.
 Particles are updated as whole ``(n, d)`` arrays with one fresh Gaussian
 draw per inner iteration, so a fixed generator seed reproduces the exact
 ensemble regardless of how the vectorized arithmetic is scheduled.
+:func:`almc_update` updates its particle array in place and reuses one
+drift and one noise array across iterations.  The score function it is
+given is called once per iteration; a :class:`~ssls.score_net.ScoreNetwork`
+writes into its own workspace, so it must not be shared with a concurrent
+update on another thread.
 """
 
 from __future__ import annotations

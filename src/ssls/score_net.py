@@ -17,6 +17,15 @@ training.  The fitted network stores the affine transform and
 callers never deal with whitened quantities.  ``sigma`` is interpreted in
 whitened units, keeping one smoothing level meaningful across problems of
 different scales.
+
+The forward and backward passes run on preallocated arrays.  Each network
+owns a workspace of scratch arrays (layer outputs, input and backprop
+deltas) sized by row count: a call on fewer rows uses their leading rows,
+a call on more rows grows them.  The sigmoid is computed in place with
+NumPy's ``exp``.  Adam keeps every parameter in one flat vector, and
+``weights``/``biases`` are views into it.  Because of the workspace, one
+network must not be evaluated from two threads at once; nothing in this
+package does so.
 """
 
 from __future__ import annotations
