@@ -408,8 +408,8 @@ def simulate_reference(
     The initial state is drawn from ``model.reference_initial_sampler``.  At
     every time index below ``steps`` that is a multiple of
     ``mutation_period`` the state is negated before the next dynamics step,
-    producing the sign-flip mutations used by the double-well experiments.  One observation is drawn at each of
-    the ``steps`` stored states.
+    producing the sign-flip mutations used by the double-well experiments.
+    One observation is drawn at each of the ``steps`` stored states.
 
     Parameters
     ----------
