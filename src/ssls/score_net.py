@@ -269,7 +269,9 @@ def _param_views(flat: Array, sizes: tuple[int, ...]) -> tuple[list[Array], list
     return weights, biases
 
 
-def _dsm_forward(net: ScoreNetwork, batch: Array, smoothing: float, noise: Array) -> list[Array]:
+def _dsm_forward(
+    net: ScoreNetwork, batch: Array, smoothing: float, noise: Array
+) -> list[Array]:
     """Check a score-matching batch and run the kernel on its perturbation.
 
     Returns the kernel's activations, with the network output overwritten
@@ -400,8 +402,8 @@ def train_score(
     # views into it.
     params = np.empty(_param_count(sizes))
     weights, biases = _param_views(params, sizes)
-    start_weights, start_biases = (init.weights, init.biases) if warm else _init_layers(sizes, rng)
-    for view, value in zip(weights + biases, start_weights + start_biases):
+    initial = (init.weights, init.biases) if warm else _init_layers(sizes, rng)
+    for view, value in zip(weights + biases, initial[0] + initial[1]):
         view[...] = value
     net = ScoreNetwork(
         weights=weights,

@@ -31,6 +31,7 @@ DIMS = st.sampled_from([1, 3, 20])
 HIDDEN = st.sampled_from([(), (4,), (128, 128)])
 ACTIVATION = st.sampled_from(["sigmoid", "relu"])
 ROWS = st.sampled_from([1, 116, 128, 500])
+SEEDS = st.integers(0, 2**32 - 1)
 KERNEL_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -105,7 +106,9 @@ def ref_train(ensemble, config, init, rng):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, w_grads, b_grads = ref_loss_gradient(net, whitened[idx], config.smoothing, noise[idx])
+            _, w_grads, b_grads = ref_loss_gradient(
+                net, whitened[idx], config.smoothing, noise[idx]
+            )
             t += 1
             correction = np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
             for p, g, m1, m2 in zip(params, w_grads + b_grads, first_moment, second_moment):
@@ -140,7 +143,7 @@ def assert_all_equal(got, want):
 
 
 @KERNEL_SETTINGS
-@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, seed=st.integers(0, 2**32 - 1))
+@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, seed=SEEDS)
 def test_forward_matches_reference(d, hidden, activation, rows, seed):
     net = random_network(d, hidden, activation, seed)
     x = np.random.default_rng(seed + 1).normal(size=(rows, d))
@@ -150,7 +153,7 @@ def test_forward_matches_reference(d, hidden, activation, rows, seed):
 
 
 @KERNEL_SETTINGS
-@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, seed=st.integers(0, 2**32 - 1))
+@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, seed=SEEDS)
 def test_loss_gradient_matches_reference(d, hidden, activation, rows, seed):
     net = random_network(d, hidden, activation, seed)
     rng = np.random.default_rng(seed + 1)
@@ -182,7 +185,7 @@ def test_gradient_written_into_flat_out():
     activation=ACTIVATION,
     n=st.sampled_from([2, 116, 500]),
     warm=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
+    seed=SEEDS,
 )
 def test_training_matches_reference(d, hidden, activation, n, warm, seed):
     config = TrainConfig(epochs=2, batch_size=128, hidden=hidden, activation=activation,
@@ -194,7 +197,9 @@ def test_training_matches_reference(d, hidden, activation, n, warm, seed):
                            rng=np.random.default_rng(seed + 1))
         init_copy = init.copy()
     got = train_score(ensemble, config, init=init, rng=np.random.default_rng(seed + 2))
-    want = ref_train(ensemble, config, init_copy if warm else None, np.random.default_rng(seed + 2))
+    want = ref_train(
+        ensemble, config, init_copy if warm else None, np.random.default_rng(seed + 2)
+    )
     assert_all_equal(got.weights, want.weights)
     assert_all_equal(got.biases, want.biases)
     assert np.array_equal(got.shift, want.shift)
@@ -280,7 +285,9 @@ def test_sigmoid_matches_expit(t):
 
 
 def test_sigmoid_matches_expit_on_a_dense_grid():
-    t = np.concatenate([np.linspace(-745.0, 745.0, 400_001), np.linspace(-40.0, 40.0, 400_001)])
+    t = np.concatenate(
+        [np.linspace(-745.0, 745.0, 400_001), np.linspace(-40.0, 40.0, 400_001)]
+    )
     np.testing.assert_allclose(_sigmoid(t.copy()), expit(t), rtol=1e-15, atol=0)
 
 
