@@ -26,6 +26,19 @@ NumPy's ``exp``.  Adam keeps every parameter in one flat vector, and
 ``weights``/``biases`` are views into it.  Because of the workspace, one
 network must not be evaluated from two threads at once; nothing in this
 package does so.
+
+The kernels compute in the dtype of the network's parameters, float32 or
+float64.  :func:`train_score` returns float32 networks (``PARAM_DTYPE``):
+their parameters, Adam moments, gradients and workspace are float32, which
+halves the memory traffic of the element-wise passes and of ``exp`` that
+bound the cost of a forward pass, while the network's own fitting error is
+far larger than float32 rounding.  The whitening transform ``shift`` and
+``scale`` stays float64, and so does everything outside the kernels:
+:meth:`ScoreNetwork.forward` whitens in float64, casts once into the
+network's dtype, and divides the output by the float64 ``scale``, so
+callers always receive float64 scores and the particles and the sampler
+stay float64.  Networks built by hand from float64 arrays run in float64
+through the same code.
 """
 
 from __future__ import annotations
@@ -42,14 +55,20 @@ ACTIVATIONS = ("sigmoid", "relu")
 # Per-dimension scales below this are treated as degenerate and left at 1.
 DEGENERATE_SCALE = 1e-8
 
+# Parameter dtype of the networks that train_score returns.
+PARAM_DTYPE = np.dtype(np.float32)
+
+_PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 _ACTIVATION_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
 
 
 def _sigmoid(t: Array) -> Array:
     """Logistic function ``1 / (1 + exp(-t))``, computed in place on ``t``.
 
-    For ``t`` below about -709.8, ``exp(-t)`` overflows to inf and the
-    result is exactly 0, as ``scipy.special.expit`` gives there.
+    For ``t`` below about -709.8 (-88.7 in float32), ``exp(-t)`` overflows
+    to inf and the result is exactly 0, as ``scipy.special.expit`` gives
+    there.
     """
     with np.errstate(over="ignore"):
         np.negative(t, out=t)
@@ -124,7 +143,9 @@ class ScoreNetwork:
     ``weights[l]`` has shape ``(out_l, in_l)`` and ``biases[l]`` shape
     ``(out_l,)``.  Input and output dimensions both equal the state
     dimension ``d``.  ``shift`` and ``scale`` are the per-dimension mean and
-    standard deviation captured from the training ensemble.
+    standard deviation captured from the training ensemble.  Weights and
+    biases must all be float32 or all float64; the network computes in
+    that dtype (see the module docstring).
 
     The kernels write into a private workspace (see the module docstring).
     It is left out of ``repr`` and equality, and :meth:`copy` starts the
@@ -145,11 +166,22 @@ class ScoreNetwork:
         self.scale = np.asarray(self.scale, dtype=float)
         if self.weights[0].shape[1] != self.dim or self.weights[-1].shape[0] != self.dim:
             raise ValueError("network input and output widths must equal the state dimension")
+        dtypes = {p.dtype for p in self.weights + self.biases}
+        if len(dtypes) != 1 or not dtypes <= set(_PARAM_DTYPES):
+            raise ValueError(
+                "weights and biases must be all float32 or all float64, "
+                f"got {sorted(map(str, dtypes))}"
+            )
 
     @property
     def dim(self) -> int:
         """State dimension ``d``."""
         return self.shift.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Dtype of the parameters, in which the kernels compute."""
+        return self.weights[0].dtype
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -158,8 +190,13 @@ class ScoreNetwork:
     def _buffer(self, key, rows: int, cols: int) -> Array:
         """The leading ``rows`` of workspace array ``key``, grown when too short."""
         buf = self._work.get(key)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
-            buf = self._work[key] = np.empty((rows, cols))
+        if (
+            buf is None
+            or buf.shape[0] < rows
+            or buf.shape[1] != cols
+            or buf.dtype != self.dtype
+        ):
+            buf = self._work[key] = np.empty((rows, cols), dtype=self.dtype)
         return buf[:rows]
 
     def _activate(self, t: Array) -> None:
@@ -192,24 +229,27 @@ class ScoreNetwork:
         return acts
 
     def raw(self, z: Array) -> Array:
-        """Evaluate the network in whitened coordinates."""
-        z = np.asarray(z, dtype=float)
-        return self._kernel(z.reshape(-1, self.dim))[-1].reshape(z.shape).copy()
+        """Evaluate the network in whitened coordinates, returning float64."""
+        z = np.asarray(z, dtype=self.dtype)
+        return self._kernel(z.reshape(-1, self.dim))[-1].reshape(z.shape).astype(float)
 
     def forward(self, x: Array) -> Array:
         """Score estimate at ``x`` in original coordinates.
 
         With ``z = (x - shift) / scale`` the density change of variables
         under the diagonal affine map gives ``score(x) = raw(z) / scale``.
-        Accepts shape ``(d,)`` or ``(n, d)``.
+        Accepts shape ``(d,)`` or ``(n, d)``; returns float64.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected trailing dimension {self.dim}, got {x.shape[-1]}")
         rows = x.reshape(-1, self.dim)
         z = self._buffer("in", rows.shape[0], self.dim)
-        np.subtract(rows, self.shift, out=z)
-        z /= self.scale
+        # Whiten in float64 and round once into the network's dtype.  Particles
+        # of a diverged ensemble can lie beyond float32's range: they become
+        # inf, and the caller reports the non-finite result.
+        with np.errstate(over="ignore"):
+            np.divide(np.subtract(rows, self.shift), self.scale, out=z)
         return np.divide(self._kernel(z)[-1], self.scale).reshape(x.shape)
 
     __call__ = forward
@@ -279,8 +319,8 @@ def _dsm_forward(
     """
     if smoothing <= 0:
         raise ValueError("smoothing level must be positive")
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    noise = np.atleast_2d(np.asarray(noise, dtype=float))
+    batch = np.atleast_2d(np.asarray(batch, dtype=net.dtype))
+    noise = np.atleast_2d(np.asarray(noise, dtype=net.dtype))
     if batch.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     if noise.shape != batch.shape:
@@ -326,7 +366,7 @@ def dsm_loss_gradient(
 
     sizes = net.layer_sizes
     if out is None:
-        out = np.empty(_param_count(sizes))
+        out = np.empty(_param_count(sizes), dtype=net.dtype)
     weight_grads, bias_grads = _param_views(out, sizes)
 
     # d loss / d out, then walk the layers backwards.
@@ -377,7 +417,9 @@ def train_score(
     ``config.warm_start`` is set, optimization starts from ``init``'s
     weights (the whitening transform is still recomputed from the current
     ensemble) and the new network takes over ``init``'s workspace;
-    otherwise weights are freshly initialized.
+    otherwise weights are freshly initialized.  The returned network's
+    parameters are ``PARAM_DTYPE``; the perturbation noise is drawn in
+    float64 and rounded, so the random stream does not depend on it.
 
     Raises
     ------
@@ -392,6 +434,7 @@ def train_score(
         raise ValueError("training needs at least 2 particles")
 
     whitened, shift, scale = whiten(ensemble)
+    whitened = whitened.astype(PARAM_DTYPE)
     sizes = (d, *config.hidden, d)
     warm = init is not None and config.warm_start
     if warm and init.layer_sizes != sizes:
@@ -400,7 +443,7 @@ def train_score(
         )
     # Adam runs on one flat vector; the network's weights and biases are
     # views into it.
-    params = np.empty(_param_count(sizes))
+    params = np.empty(_param_count(sizes), dtype=PARAM_DTYPE)
     weights, biases = _param_views(params, sizes)
     initial = (init.weights, init.biases) if warm else _init_layers(sizes, rng)
     for view, value in zip(weights + biases, initial[0] + initial[1]):
@@ -429,7 +472,7 @@ def train_score(
             lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
         else:
             lr = config.learning_rate
-        noise = rng.standard_normal((n, d))
+        noise = rng.standard_normal((n, d)).astype(PARAM_DTYPE)
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -442,8 +485,11 @@ def train_score(
                 )
             t += 1
             correction = np.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+            # A Python float, so that it rounds to the parameters' dtype
+            # instead of promoting the update to float64.
+            step_size = float(lr * correction)
             # m1 = b1*m1 + (1-b1)*g;  m2 = b2*m2 + (1-b2)*g**2;
-            # params -= (lr*correction) * m1 / (sqrt(m2) + eps)
+            # params -= step_size * m1 / (sqrt(m2) + eps)
             first_moment *= b1
             np.multiply(grad, 1.0 - b1, out=step)
             first_moment += step
@@ -453,7 +499,7 @@ def train_score(
             second_moment += step
             np.sqrt(second_moment, out=denom)
             denom += config.adam_eps
-            np.multiply(first_moment, lr * correction, out=step)
+            np.multiply(first_moment, step_size, out=step)
             step /= denom
             params -= step
     return net
@@ -462,20 +508,24 @@ def train_score(
 def save_checkpoint(net: ScoreNetwork, path) -> None:
     """Dump a network to a flat little-endian binary file.
 
-    Layout: an ``int64`` header ``[n_sizes, *layer_sizes, activation_code]``
-    followed by ``float64`` payload ``shift, scale, W_0, b_0, W_1, b_1, ...``
-    with weight matrices in row-major order.
+    Layout: an ``int64`` header
+    ``[n_sizes, *layer_sizes, activation_code, param_bytes]``, the
+    ``float64`` whitening transform ``shift, scale``, then the parameters
+    ``W_0, b_0, W_1, b_1, ...`` as floats of ``param_bytes`` bytes (4 or 8,
+    the network's dtype), with weight matrices in row-major order.
     """
     sizes = net.layer_sizes
     header = np.array(
-        [len(sizes), *sizes, _ACTIVATION_CODES[net.activation]], dtype="<i8"
+        [len(sizes), *sizes, _ACTIVATION_CODES[net.activation], net.dtype.itemsize],
+        dtype="<i8",
     )
-    payload = [net.shift, net.scale]
+    params = []
     for w, b in zip(net.weights, net.biases):
-        payload.extend([w.ravel(), b])
+        params.extend([w.ravel(), b])
     with open(path, "wb") as fh:
         header.tofile(fh)
-        np.concatenate(payload).astype("<f8").tofile(fh)
+        np.concatenate([net.shift, net.scale]).astype("<f8").tofile(fh)
+        np.concatenate(params).astype(f"<f{net.dtype.itemsize}").tofile(fh)
 
 
 def load_checkpoint(path) -> ScoreNetwork:
@@ -483,21 +533,22 @@ def load_checkpoint(path) -> ScoreNetwork:
     with open(path, "rb") as fh:
         n_sizes = int(np.fromfile(fh, dtype="<i8", count=1)[0])
         sizes = tuple(int(s) for s in np.fromfile(fh, dtype="<i8", count=n_sizes))
-        code = int(np.fromfile(fh, dtype="<i8", count=1)[0])
-        flat = np.fromfile(fh, dtype="<f8")
+        code, param_bytes = (int(v) for v in np.fromfile(fh, dtype="<i8", count=2))
+        if param_bytes not in (4, 8):
+            raise ValueError(f"checkpoint has unsupported parameter width {param_bytes}")
+        d = sizes[0]
+        shift, scale = np.fromfile(fh, dtype="<f8", count=2 * d).reshape(2, d)
+        flat = np.fromfile(fh, dtype=f"<f{param_bytes}")
     activation = ACTIVATIONS[code]
-    d = sizes[0]
+    dtype = np.dtype(f"f{param_bytes}")
     pos = 0
-    shift = flat[pos : pos + d]
-    pos += d
-    scale = flat[pos : pos + d]
-    pos += d
     weights = []
     biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in).copy())
+        w = flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in)
+        weights.append(w.astype(dtype))
         pos += fan_in * fan_out
-        biases.append(flat[pos : pos + fan_out].copy())
+        biases.append(flat[pos : pos + fan_out].astype(dtype))
         pos += fan_out
     if pos != flat.size:
         raise ValueError(f"checkpoint has {flat.size - pos} unexpected trailing values")

@@ -3,20 +3,23 @@
 The reference below is the straightforward implementation: a fresh array
 for every intermediate, ``@`` for every product (including the k=1 ones the
 kernels replace by broadcasts) and Adam as a loop over the parameter
-arrays.  Both use the same sigmoid, so the kernels must match it bit for
-bit.
+arrays.  It casts its inputs to the parameter dtype and computes in that
+dtype, as the kernels do.  Both use the same sigmoid, so the kernels must
+match it bit for bit, in float32 and in float64.
 """
 
 import dataclasses
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from ssls.score_net import (
+    PARAM_DTYPE,
     ScoreNetwork,
     TrainConfig,
     _init_layers,
@@ -30,6 +33,7 @@ from ssls.score_net import (
 DIMS = st.sampled_from([1, 3, 20])
 HIDDEN = st.sampled_from([(), (4,), (128, 128)])
 ACTIVATION = st.sampled_from(["sigmoid", "relu"])
+DTYPE = st.sampled_from([np.float64, np.float32])
 ROWS = st.sampled_from([1, 116, 128, 500])
 SEEDS = st.integers(0, 2**32 - 1)
 KERNEL_SETTINGS = settings(
@@ -45,6 +49,7 @@ def ref_activate(t, activation):
 
 
 def ref_forward_cached(net, z):
+    z = np.asarray(z, dtype=net.dtype)
     acts, pres = [z], []
     a = z
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
@@ -61,6 +66,8 @@ def ref_forward(net, x):
 
 
 def ref_loss_gradient(net, batch, smoothing, noise):
+    batch = np.asarray(batch, dtype=net.dtype)
+    noise = np.asarray(noise, dtype=net.dtype)
     m = batch.shape[0]
     out, pres, acts = ref_forward_cached(net, batch + smoothing * noise)
     resid = smoothing * out + noise
@@ -87,10 +94,11 @@ def ref_train(ensemble, config, init, rng):
     whitened, shift, scale = whiten(ensemble)
     sizes = (d, *config.hidden, d)
     if init is not None and config.warm_start:
-        weights = [w.copy() for w in init.weights]
-        biases = [b.copy() for b in init.biases]
+        weights, biases = init.weights, init.biases
     else:
         weights, biases = _init_layers(sizes, rng)
+    weights = [w.astype(PARAM_DTYPE) for w in weights]
+    biases = [b.astype(PARAM_DTYPE) for b in biases]
     net = ScoreNetwork(weights, biases, config.activation, shift, scale)
     params = net.weights + net.biases
     first_moment = [np.zeros_like(p) for p in params]
@@ -116,16 +124,17 @@ def ref_train(ensemble, config, init, rng):
                 m1 += (1.0 - b1) * g
                 m2 *= b2
                 m2 += (1.0 - b2) * g**2
-                p -= lr * correction * m1 / (np.sqrt(m2) + config.adam_eps)
+                # a Python float step size keeps the update in p's dtype
+                p -= float(lr * correction) * m1 / (np.sqrt(m2) + config.adam_eps)
     return net
 
 
-def random_network(d, hidden, activation, seed):
+def random_network(d, hidden, activation, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     sizes = (d, *hidden, d)
     return ScoreNetwork(
-        weights=[rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
-        biases=[rng.normal(size=o) for o in sizes[1:]],
+        weights=[rng.normal(size=(o, i)).astype(dtype) for i, o in zip(sizes[:-1], sizes[1:])],
+        biases=[rng.normal(size=o).astype(dtype) for o in sizes[1:]],
         activation=activation,
         shift=rng.normal(size=d),
         scale=rng.uniform(0.5, 2.0, size=d),
@@ -136,6 +145,7 @@ def assert_all_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
+        assert g.dtype == w.dtype
         assert np.array_equal(g, w)
 
 
@@ -143,19 +153,21 @@ def assert_all_equal(got, want):
 
 
 @KERNEL_SETTINGS
-@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, seed=SEEDS)
-def test_forward_matches_reference(d, hidden, activation, rows, seed):
-    net = random_network(d, hidden, activation, seed)
+@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, dtype=DTYPE, seed=SEEDS)
+def test_forward_matches_reference(d, hidden, activation, rows, dtype, seed):
+    net = random_network(d, hidden, activation, seed, dtype)
     x = np.random.default_rng(seed + 1).normal(size=(rows, d))
-    assert np.array_equal(net.forward(x), ref_forward(net, x))
+    y = net.forward(x)
+    assert y.dtype == np.float64
+    assert np.array_equal(y, ref_forward(net, x))
     z = (x - net.shift) / net.scale
     assert np.array_equal(net.raw(z), ref_forward_cached(net, z)[0])
 
 
 @KERNEL_SETTINGS
-@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, seed=SEEDS)
-def test_loss_gradient_matches_reference(d, hidden, activation, rows, seed):
-    net = random_network(d, hidden, activation, seed)
+@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, dtype=DTYPE, seed=SEEDS)
+def test_loss_gradient_matches_reference(d, hidden, activation, rows, dtype, seed):
+    net = random_network(d, hidden, activation, seed, dtype)
     rng = np.random.default_rng(seed + 1)
     batch = rng.normal(size=(rows, d))
     noise = rng.normal(size=(rows, d))
@@ -204,6 +216,30 @@ def test_training_matches_reference(d, hidden, activation, n, warm, seed):
     assert_all_equal(got.biases, want.biases)
     assert np.array_equal(got.shift, want.shift)
     assert np.array_equal(got.scale, want.scale)
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+@pytest.mark.parametrize("d", [1, 3, 20])
+def test_float32_agrees_with_float64(d, activation):
+    """A trained float32 network and its float64 twin, same weights, agree
+    within 1e-5 of the largest output, inside the ensemble and beyond it."""
+    rng = np.random.default_rng(d)
+    ensemble = 5.0 * rng.normal(size=d) + rng.uniform(0.1, 10.0, size=d) * rng.normal(
+        size=(500, d)
+    )
+    net = train_score(ensemble, TrainConfig(epochs=20, activation=activation), rng=rng)
+    assert net.dtype == np.float32
+    twin = ScoreNetwork(
+        weights=[w.astype(np.float64) for w in net.weights],
+        biases=[b.astype(np.float64) for b in net.biases],
+        activation=activation,
+        shift=net.shift,
+        scale=net.scale,
+    )
+    x = np.concatenate([ensemble, ensemble + 3.0 * ensemble.std(axis=0) * rng.normal(
+        size=ensemble.shape)])
+    want = twin.forward(x)
+    assert np.abs(net.forward(x) - want).max() <= 1e-5 * np.abs(want).max()
 
 
 # -- the workspace --------------------------------------------------------------
@@ -291,10 +327,11 @@ def test_sigmoid_matches_expit_on_a_dense_grid():
     np.testing.assert_allclose(_sigmoid(t.copy()), expit(t), rtol=1e-15, atol=0)
 
 
-def test_sigmoid_saturates_exactly_without_warnings():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_saturates_exactly_without_warnings(dtype):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = _sigmoid(np.array([800.0, -800.0]))
+        result = _sigmoid(np.array([800.0, -800.0], dtype=dtype))
     assert result[0] == 1.0
     assert result[1] == 0.0
 

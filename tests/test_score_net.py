@@ -49,6 +49,52 @@ def negation_network():
     )
 
 
+class TestParameterDtypes:
+    @pytest.mark.parametrize(
+        "weight_dtype, bias_dtype",
+        [
+            (np.float32, np.float64),
+            (np.float64, np.float32),
+            (np.float16, np.float16),
+            (np.int64, np.int64),
+        ],
+    )
+    def test_mixed_or_unsupported_dtypes_rejected(self, weight_dtype, bias_dtype):
+        with pytest.raises(ValueError, match="float32 or all float64"):
+            ScoreNetwork(
+                weights=[np.zeros((4, 2), weight_dtype), np.zeros((2, 4), weight_dtype)],
+                biases=[np.zeros(4, bias_dtype), np.zeros(2, bias_dtype)],
+                activation="sigmoid",
+                shift=np.zeros(2),
+                scale=np.ones(2),
+            )
+
+    def test_one_mixed_layer_rejected(self):
+        net = zero_network(2, hidden=(4, 4))
+        with pytest.raises(ValueError, match="float32 or all float64"):
+            ScoreNetwork(
+                weights=net.weights[:-1] + [net.weights[-1].astype(np.float32)],
+                biases=net.biases,
+                activation="sigmoid",
+                shift=net.shift,
+                scale=net.scale,
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_network_computes_in_its_dtype(self, dtype):
+        net = zero_network(2)
+        net = ScoreNetwork(
+            weights=[w.astype(dtype) for w in net.weights],
+            biases=[b.astype(dtype) for b in net.biases],
+            activation="sigmoid",
+            shift=net.shift,
+            scale=net.scale,
+        )
+        assert net.dtype == dtype
+        assert net.forward(np.ones((3, 2))).dtype == np.float64
+        assert all(buf.dtype == dtype for buf in net._work.values())
+
+
 class TestWhiten:
     def test_two_point_example(self):
         whitened, shift, scale = whiten(np.array([[1.0], [3.0]]))
@@ -288,11 +334,19 @@ class TestTrainScore:
     def test_non_finite_loss_raises(self):
         ensemble = np.random.default_rng(17).normal(size=(64, 1))
         corrupted = train_score(ensemble, TrainConfig(epochs=1), rng=np.random.default_rng(0))
-        corrupted.weights[-1][:] = 1e200  # overflows the squared loss to inf
+        corrupted.weights[-1][:] = 1e30  # finite in float32; overflows the squared loss
         cfg = TrainConfig(epochs=1, warm_start=True)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError):
                 train_score(ensemble, cfg, init=corrupted, rng=np.random.default_rng(0))
+
+    def test_trained_network_is_float32_with_float64_scores(self):
+        ensemble = np.random.default_rng(19).normal(size=(64, 2))
+        net = train_score(ensemble, TrainConfig(epochs=1), rng=np.random.default_rng(0))
+        assert all(p.dtype == np.float32 for p in net.weights + net.biases)
+        assert net.shift.dtype == net.scale.dtype == np.float64
+        assert net.forward(ensemble).dtype == np.float64
+        assert net.raw(ensemble).dtype == np.float64
 
     def test_nan_ensemble_raises(self):
         ensemble = np.random.default_rng(17).normal(size=(64, 1))
@@ -335,6 +389,17 @@ class TestCheckpoint:
             assert np.array_equal(wa, wb)
         x = rng.normal(size=(4, 3))
         assert np.array_equal(net.forward(x), loaded.forward(x))
+
+    def test_round_trip_keeps_trained_float32_network(self, tmp_path):
+        ensemble = np.random.default_rng(20).normal(size=(200, 3)) * [1.0, 3.0, 0.2]
+        net = train_score(ensemble, TrainConfig(epochs=2), rng=np.random.default_rng(21))
+        path = tmp_path / "trained.bin"
+        save_checkpoint(net, path)
+        loaded = load_checkpoint(path)
+        assert all(p.dtype == np.float32 for p in loaded.weights + loaded.biases)
+        assert np.array_equal(loaded.shift, net.shift)
+        assert np.array_equal(loaded.scale, net.scale)
+        assert np.array_equal(loaded.forward(ensemble), net.forward(ensemble))
 
     def test_round_trip_relu(self, tmp_path):
         net = negation_network()
