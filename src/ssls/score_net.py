@@ -58,7 +58,7 @@ DEGENERATE_SCALE = 1e-8
 # Parameter dtype of the networks that train_score returns.
 PARAM_DTYPE = np.dtype(np.float32)
 
-_PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_PARAM_DTYPES = frozenset([np.dtype(np.float32), np.dtype(np.float64)])
 
 _ACTIVATION_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
 
@@ -167,7 +167,7 @@ class ScoreNetwork:
         if self.weights[0].shape[1] != self.dim or self.weights[-1].shape[0] != self.dim:
             raise ValueError("network input and output widths must equal the state dimension")
         dtypes = {p.dtype for p in self.weights + self.biases}
-        if len(dtypes) != 1 or not dtypes <= set(_PARAM_DTYPES):
+        if len(dtypes) != 1 or not dtypes <= _PARAM_DTYPES:
             raise ValueError(
                 "weights and biases must be all float32 or all float64, "
                 f"got {sorted(map(str, dtypes))}"
@@ -190,12 +190,7 @@ class ScoreNetwork:
     def _buffer(self, key, rows: int, cols: int) -> Array:
         """The leading ``rows`` of workspace array ``key``, grown when too short."""
         buf = self._work.get(key)
-        if (
-            buf is None
-            or buf.shape[0] < rows
-            or buf.shape[1] != cols
-            or buf.dtype != self.dtype
-        ):
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != cols:
             buf = self._work[key] = np.empty((rows, cols), dtype=self.dtype)
         return buf[:rows]
 
@@ -416,10 +411,11 @@ def train_score(
     perturbation noise redrawn every epoch.  When ``init`` is given and
     ``config.warm_start`` is set, optimization starts from ``init``'s
     weights (the whitening transform is still recomputed from the current
-    ensemble) and the new network takes over ``init``'s workspace;
-    otherwise weights are freshly initialized.  The returned network's
-    parameters are ``PARAM_DTYPE``; the perturbation noise is drawn in
-    float64 and rounded, so the random stream does not depend on it.
+    ensemble) and the new network takes over ``init``'s workspace when
+    their dtypes match; otherwise weights are freshly initialized.  The
+    returned network's parameters are ``PARAM_DTYPE``; the perturbation
+    noise is drawn in float64 and rounded, so the random stream does not
+    depend on it.
 
     Raises
     ------
@@ -455,8 +451,9 @@ def train_score(
         shift=shift,
         scale=scale,
     )
-    if warm:
+    if warm and init.dtype == net.dtype:
         # One workspace alive at a time; init gets a new one if it is called.
+        # A float64 init's workspace would not fit, so it keeps it.
         net._work, init._work = init._work, {}
 
     grad = np.empty_like(params)

@@ -224,9 +224,8 @@ def test_float32_agrees_with_float64(d, activation):
     """A trained float32 network and its float64 twin, same weights, agree
     within 1e-5 of the largest output, inside the ensemble and beyond it."""
     rng = np.random.default_rng(d)
-    ensemble = 5.0 * rng.normal(size=d) + rng.uniform(0.1, 10.0, size=d) * rng.normal(
-        size=(500, d)
-    )
+    spread = rng.uniform(0.1, 10.0, size=d)
+    ensemble = 5.0 * rng.normal(size=d) + spread * rng.normal(size=(500, d))
     net = train_score(ensemble, TrainConfig(epochs=20, activation=activation), rng=rng)
     assert net.dtype == np.float32
     twin = ScoreNetwork(
@@ -236,8 +235,8 @@ def test_float32_agrees_with_float64(d, activation):
         shift=net.shift,
         scale=net.scale,
     )
-    x = np.concatenate([ensemble, ensemble + 3.0 * ensemble.std(axis=0) * rng.normal(
-        size=ensemble.shape)])
+    beyond = ensemble + 3.0 * ensemble.std(axis=0) * rng.normal(size=ensemble.shape)
+    x = np.concatenate([ensemble, beyond])
     want = twin.forward(x)
     assert np.abs(net.forward(x) - want).max() <= 1e-5 * np.abs(want).max()
 
@@ -303,6 +302,21 @@ def test_warm_start_takes_over_the_workspace():
     assert np.array_equal(first.forward(ensemble), ref_forward(first, ensemble))
 
 
+def test_warm_start_from_float64_network():
+    rng = np.random.default_rng(12)
+    ensemble = rng.normal(size=(64, 2))
+    config = TrainConfig(epochs=1, hidden=(8,))
+    init = random_network(2, (8,), "sigmoid", 13)
+    init.forward(ensemble)
+    work = init._work
+    got = train_score(ensemble, config, init=init, rng=np.random.default_rng(14))
+    assert init._work is work
+    assert all(buf.dtype == np.float32 for buf in got._work.values())
+    want = ref_train(ensemble, config, init, np.random.default_rng(14))
+    assert_all_equal(got.weights, want.weights)
+    assert_all_equal(got.biases, want.biases)
+
+
 def test_single_point_forward_keeps_shape():
     net = random_network(3, (4,), "sigmoid", 10)
     x = np.random.default_rng(11).normal(size=3)
@@ -327,13 +341,13 @@ def test_sigmoid_matches_expit_on_a_dense_grid():
     np.testing.assert_allclose(_sigmoid(t.copy()), expit(t), rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_sigmoid_saturates_exactly_without_warnings(dtype):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = _sigmoid(np.array([800.0, -800.0], dtype=dtype))
-    assert result[0] == 1.0
-    assert result[1] == 0.0
+def test_sigmoid_saturates_exactly_without_warnings():
+    for dtype in (np.float64, np.float32):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = _sigmoid(np.array([800.0, -800.0], dtype=dtype))
+        assert result[0] == 1.0
+        assert result[1] == 0.0
 
 
 def test_sigmoid_works_in_place():

@@ -80,20 +80,6 @@ class TestParameterDtypes:
                 scale=net.scale,
             )
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_network_computes_in_its_dtype(self, dtype):
-        net = zero_network(2)
-        net = ScoreNetwork(
-            weights=[w.astype(dtype) for w in net.weights],
-            biases=[b.astype(dtype) for b in net.biases],
-            activation="sigmoid",
-            shift=net.shift,
-            scale=net.scale,
-        )
-        assert net.dtype == dtype
-        assert net.forward(np.ones((3, 2))).dtype == np.float64
-        assert all(buf.dtype == dtype for buf in net._work.values())
-
 
 class TestWhiten:
     def test_two_point_example(self):
