@@ -8,10 +8,10 @@ score.  All functions are pure and permutation-invariant in the ensemble.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 Array = np.ndarray
 
@@ -21,7 +21,21 @@ _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 # statistics (NumPy's default, the type-7 convention).
 _COVERAGE_LO = 0.025
 _COVERAGE_HI = 0.975
-_Z_HI = float(ndtri(_COVERAGE_HI))
+# The standard normal quantile at _COVERAGE_HI, as scipy.special.ndtri gives
+# it; statistics.NormalDist().inv_cdf is one ulp off.
+_Z_HI = 1.959963984540054
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _norm_cdf(z: Array) -> Array:
+    """Standard normal CDF ``Phi(z) = erfc(-z / sqrt(2)) / 2``, elementwise.
+
+    ``erfc`` keeps its relative accuracy in the lower tail, where
+    ``1 + erf(z / sqrt(2))`` would cancel.  Returns float64 of ``z``'s shape.
+    """
+    z = np.asarray(z, dtype=float)
+    return 0.5 * np.asarray(_erfc(-z * _SQRT_HALF), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -125,7 +139,7 @@ def crps_gaussian(mean: Array, std: Array, truth: Array) -> float:
         raise ValueError("std must be positive")
     z = (truth - mean) / std
     phi = _INV_SQRT_2PI * np.exp(-0.5 * z**2)
-    return float(np.mean(std * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * phi - _INV_SQRT_PI)))
+    return float(np.mean(std * (z * (2.0 * _norm_cdf(z) - 1.0) + 2.0 * phi - _INV_SQRT_PI)))
 
 
 def ensemble_metrics(step: int, ensemble: Array, truth: Array) -> MetricRow:

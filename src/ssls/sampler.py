@@ -102,14 +102,22 @@ def clip_score(v: Array, max_norm: float) -> Array:
     """Rescale vectors whose L2 norm exceeds ``max_norm``; direction kept.
 
     Operates on the last axis, so an ``(n, d)`` array is clipped per row.
+    When no row exceeds ``max_norm``, the float array ``v`` itself is
+    returned; otherwise a clipped copy.  The input is never modified.
     """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    # The same arithmetic as np.linalg.norm(v, axis=-1), so rows exactly at
+    # the threshold are treated alike.
+    norm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     # Non-finite rows pass through unchanged so callers can detect them.
-    needs_clip = np.isfinite(norm) & (norm > max_norm)
-    factor = np.where(needs_clip, max_norm / np.where(norm > 0, norm, 1.0), 1.0)
+    needs_clip = norm > max_norm
+    needs_clip &= np.isfinite(norm)
+    if not needs_clip.any():
+        return v
+    factor = np.ones_like(norm)
+    np.divide(max_norm, norm, out=factor, where=needs_clip)
     return v * factor
 
 
@@ -167,6 +175,7 @@ def almc_update(
             drift_buf += score_fn(z)
             drift = drift_buf
             if plan.clip_norm is not None:
+                # drift_buf itself unless some row was clipped.
                 drift = clip_score(drift, plan.clip_norm)
             np.multiply(drift, h, out=drift_buf)
             z += drift_buf

@@ -471,10 +471,12 @@ def train_score(
             lr = config.learning_rate
         noise = rng.standard_normal((n, d)).astype(PARAM_DTYPE)
         order = rng.permutation(n)
+        # One gather per epoch; minibatches are contiguous slices of it.
+        shuffled, noise = whitened[order], noise[order]
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+            stop = start + config.batch_size
             loss, _, _ = dsm_loss_gradient(
-                net, whitened[idx], config.smoothing, noise[idx], out=grad
+                net, shuffled[start:stop], config.smoothing, noise[start:stop], out=grad
             )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(

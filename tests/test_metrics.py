@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from ssls.metrics import (
+    _Z_HI,
     MetricRow,
+    _norm_cdf,
     coverage,
     crps,
     crps_gaussian,
@@ -163,6 +166,48 @@ class TestCrpsGaussian:
     def test_invalid_std_rejected(self):
         with pytest.raises(ValueError):
             crps_gaussian(0.0, 0.0, 0.0)
+
+    def test_matches_scipy_closed_form(self):
+        rng = np.random.default_rng(11)
+        mean = rng.normal(size=5)
+        std = rng.uniform(0.1, 3.0, size=5)
+        for truth in rng.normal(scale=4.0, size=(50, 5)):
+            z = (truth - mean) / std
+            phi = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+            want = np.mean(std * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * phi - 1.0 / np.sqrt(np.pi)))
+            assert crps_gaussian(mean, std, truth) == pytest.approx(want, rel=3e-15, abs=0.0)
+
+
+class TestNormalCdf:
+    """The private CDF against scipy.special.ndtr as an independent oracle."""
+
+    def test_coverage_quantile_is_scipy_value(self):
+        assert _Z_HI == float(ndtri(0.975))
+
+    def test_matches_scipy_on_the_bulk(self):
+        z = np.linspace(-8.0, 8.0, 100_001)
+        np.testing.assert_allclose(_norm_cdf(z), ndtr(z), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (40, 3)])
+    def test_keeps_shape(self, shape):
+        z = np.random.default_rng(12).normal(scale=3.0, size=shape)
+        got = _norm_cdf(z)
+        assert np.shape(got) == shape
+        np.testing.assert_allclose(got, ndtr(z), rtol=1e-14, atol=0.0)
+
+    def test_python_float(self):
+        assert _norm_cdf(-1.5) == pytest.approx(ndtr(-1.5), rel=1e-14, abs=0.0)
+
+    def test_lower_tail_keeps_relative_accuracy(self):
+        # 1 + erf(z / sqrt(2)) would lose every digit here; erfc keeps them.
+        z = np.linspace(-37.5, -8.0, 10_001)
+        assert np.all(_norm_cdf(z) > 0.0)
+        np.testing.assert_allclose(_norm_cdf(z), ndtr(z), rtol=1e-13, atol=0.0)
+
+    def test_upper_tail_reaches_one(self):
+        z = np.linspace(8.0, 40.0, 1_001)
+        np.testing.assert_allclose(_norm_cdf(z), ndtr(z), rtol=1e-15, atol=0.0)
+        assert _norm_cdf(40.0) == 1.0
 
 
 class TestMetricRows:

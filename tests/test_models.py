@@ -4,6 +4,9 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssls.models import (
     ReferenceRun,
@@ -106,6 +109,23 @@ class TestLorenz96:
     def test_small_dim_rejected(self):
         with pytest.raises(ValueError):
             make_lorenz96(dim=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        z=arrays(np.float64, st.one_of(
+            st.tuples(st.integers(1, 40)),
+            st.tuples(st.integers(1, 20), st.integers(1, 40)),
+        ), elements=st.floats(-1e3, 1e3)),
+        forcing=st.floats(-20.0, 20.0),
+    )
+    def test_matches_roll_formula_bit_for_bit(self, z, forcing):
+        zp1 = np.roll(z, -1, axis=-1)
+        zm1 = np.roll(z, 1, axis=-1)
+        zm2 = np.roll(z, 2, axis=-1)
+        want = (zp1 - zm2) * zm1 - z + forcing
+        got = lorenz96_rhs(z, forcing)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_fixed_point_preserved_without_noise(self):
         model = make_lorenz96(dim=8, forcing=8.0, dt=0.05, process_noise_std=0.0)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssls.sampler import (
     AnnealPlan,
@@ -91,6 +94,47 @@ class TestClipScore:
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
             clip_score(np.ones(2), 0.0)
+
+
+def ref_clip(v, max_norm):
+    """The original formula: np.linalg.norm and two np.where passes."""
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    needs_clip = np.isfinite(norm) & (norm > max_norm)
+    factor = np.where(needs_clip, max_norm / np.where(norm > 0, norm, 1.0), 1.0)
+    return v * factor
+
+
+# Rows of ordinary values, zeros, or values with an inf or a NaN, so that
+# zero, infinite and NaN norms all occur.
+CLIP_ELEMENTS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)),
+             elements=CLIP_ELEMENTS),
+    zero_row=st.integers(0, 29),
+    threshold=st.one_of(st.floats(1e-3, 2e3), st.sampled_from(["row", "max"])),
+)
+def test_clip_matches_reference_bit_for_bit(v, zero_row, threshold):
+    v[zero_row % v.shape[0]] = 0.0
+    norms = np.linalg.norm(v, axis=-1)
+    finite = norms[np.isfinite(norms) & (norms > 0)]
+    if threshold == "row":  # a threshold equal to some row's norm
+        threshold = float(finite[0]) if finite.size else 1.0
+    elif threshold == "max":  # no row is clipped
+        threshold = float(finite.max()) if finite.size else 1.0
+    kept = v.copy()
+    got = clip_score(v, threshold)
+    want = ref_clip(kept, threshold)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert v.tobytes() == kept.tobytes()
+    if np.array_equal(want, kept, equal_nan=True):
+        assert got is v
 
 
 class TestAnnealedDrift:
