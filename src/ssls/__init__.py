@@ -5,127 +5,42 @@ estimation of the prediction score, and annealed Langevin Monte Carlo
 posterior updates, alongside exact Kalman, ensemble Kalman, and auxiliary
 particle filter baselines with a shared metrics suite.
 
-Particle ensembles are plain ``(n, d)`` NumPy arrays throughout.
+Particle ensembles are plain ``(n, d)`` NumPy arrays throughout.  The names
+below are the ones the demos and the README use; everything else lives in
+its module (``ssls.models``, ``ssls.baselines``, ``ssls.metrics``, ...).
 """
 
-from .assimilator import (
-    AssimilationError,
-    AssimilationRecord,
-    SslsConfig,
-    assimilate,
-    initial_update,
-    predict,
-)
-from .baselines import (
-    LinearGaussianSpec,
-    WeightedParticles,
-    apf_init,
-    apf_step,
-    enkf_step,
-    enkf_update,
-    kalman_filter,
-    kalman_step,
-    kalman_update,
-    run_apf,
-    run_enkf,
-    run_kalman,
-    systematic_resample,
-)
-from .metrics import (
-    MetricRow,
-    coverage,
-    crps,
-    crps_gaussian,
-    ensemble_metrics,
-    gaussian_metrics,
-    rmse,
-    spread,
-)
+from .assimilator import AssimilationRecord, SslsConfig, assimilate
+from .baselines import LinearGaussianSpec, kalman_filter, run_apf, run_enkf
 from .models import (
     ModelSpec,
     ReferenceRun,
-    double_well_potential_grad,
-    lorenz96_rhs,
     make_double_well,
     make_linear_gaussian,
     make_lorenz96,
-    rk4_step,
     simulate_reference,
 )
-from .sampler import (
-    AnnealPlan,
-    NonFiniteEnsembleError,
-    almc_update,
-    annealed_drift,
-    clip_score,
-    lmc_step,
-    make_schedule,
-)
-from .score_net import (
-    ScoreNetwork,
-    TrainConfig,
-    TrainingDivergedError,
-    dsm_loss,
-    dsm_loss_gradient,
-    load_checkpoint,
-    save_checkpoint,
-    train_score,
-    whiten,
-)
+from .sampler import AnnealPlan, make_schedule
+from .score_net import TrainConfig, train_score
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnealPlan",
-    "AssimilationError",
     "AssimilationRecord",
     "LinearGaussianSpec",
-    "MetricRow",
     "ModelSpec",
-    "NonFiniteEnsembleError",
     "ReferenceRun",
-    "ScoreNetwork",
     "SslsConfig",
     "TrainConfig",
-    "TrainingDivergedError",
-    "WeightedParticles",
-    "almc_update",
-    "annealed_drift",
-    "apf_init",
-    "apf_step",
     "assimilate",
-    "clip_score",
-    "coverage",
-    "crps",
-    "crps_gaussian",
-    "double_well_potential_grad",
-    "dsm_loss",
-    "dsm_loss_gradient",
-    "enkf_step",
-    "enkf_update",
-    "ensemble_metrics",
-    "gaussian_metrics",
-    "initial_update",
     "kalman_filter",
-    "kalman_step",
-    "kalman_update",
-    "lmc_step",
-    "load_checkpoint",
-    "lorenz96_rhs",
     "make_double_well",
     "make_linear_gaussian",
     "make_lorenz96",
     "make_schedule",
-    "predict",
-    "rk4_step",
-    "rmse",
     "run_apf",
     "run_enkf",
-    "run_kalman",
-    "save_checkpoint",
     "simulate_reference",
-    "spread",
-    "systematic_resample",
     "train_score",
-    "whiten",
 ]

@@ -4,7 +4,9 @@ The Kalman filter is the exact posterior oracle for linear-Gaussian models
 and anchors most correctness tests.  The ensemble Kalman filter is the
 stochastic (perturbed-observation) variant; the auxiliary particle filter
 uses likelihoods at the deterministic one-step prediction as first-stage
-weights and systematic resampling throughout.
+weights and systematic resampling throughout.  The EnKF and the APF run
+through :func:`ssls.assimilator.run_filter`, the loop SSLS uses, so they
+share its input checks, records and failure rule.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .assimilator import AssimilationRecord
-from .metrics import ensemble_metrics, gaussian_metrics
+from .assimilator import AssimilationRecord, run_filter
+# Unused here, but bench/tracing.py wraps baselines.ensemble_metrics.
+from .metrics import ensemble_metrics, gaussian_metrics  # noqa: F401
 from .models import ModelSpec, ReferenceRun
 
 Array = np.ndarray
@@ -257,17 +260,7 @@ def run_enkf(
     store_ensembles: bool = False,
 ) -> list[AssimilationRecord]:
     """Filter a full reference run with the stochastic EnKF."""
-    rng = np.random.default_rng(seed)
-    ensemble = model.initial_prior_sampler(rng, ensemble_size)
-    records = []
-    for k in range(1, len(run) + 1):
-        y = run.observations[k - 1]
-        if k == 1:
-            ensemble = enkf_update(ensemble, model, y, rng)
-        else:
-            ensemble = enkf_step(ensemble, model, y, rng)
-        records.append(_ensemble_record(k, ensemble, run, store_ensembles))
-    return records
+    return run_filter(model, run, enkf_update, enkf_step, ensemble_size, seed, store_ensembles)
 
 
 def run_apf(
@@ -278,17 +271,7 @@ def run_apf(
     store_ensembles: bool = False,
 ) -> list[AssimilationRecord]:
     """Filter a full reference run with the auxiliary particle filter."""
-    rng = np.random.default_rng(seed)
-    particles = model.initial_prior_sampler(rng, ensemble_size)
-    records = []
-    for k in range(1, len(run) + 1):
-        y = run.observations[k - 1]
-        if k == 1:
-            particles = apf_init(particles, model, y, rng)
-        else:
-            particles = apf_step(particles, model, y, rng)
-        records.append(_ensemble_record(k, particles, run, store_ensembles))
-    return records
+    return run_filter(model, run, apf_init, apf_step, ensemble_size, seed, store_ensembles)
 
 
 def run_kalman(spec: LinearGaussianSpec, run: ReferenceRun) -> list[AssimilationRecord]:
@@ -310,16 +293,3 @@ def run_kalman(spec: LinearGaussianSpec, run: ReferenceRun) -> list[Assimilation
         )
     return records
 
-
-def _ensemble_record(
-    k: int, ensemble: Array, run: ReferenceRun, store: bool
-) -> AssimilationRecord:
-    return AssimilationRecord(
-        step=k,
-        mean=ensemble.mean(axis=0),
-        std=ensemble.std(axis=0, ddof=1),
-        reference=run.states[k - 1],
-        observation=run.observations[k - 1],
-        metrics=ensemble_metrics(k, ensemble, run.states[k - 1]),
-        ensemble=ensemble.copy() if store else None,
-    )

@@ -30,29 +30,31 @@ Config schema (JSON object; unknown keys are rejected)::
         "process_noise_std": float, "init_prior_shift": float
       },
       "ssls": {                    # optional sampler/training parameters
-        "smoothing": float, "epochs": int, "batch_size": int,
-        "learning_rate": float, "warm_start": bool,
+        "smoothing": float, "epochs": int,
+        "init_epochs": int,        # epochs of the first, cold-started step
+        "batch_size": int, "learning_rate": float, "warm_start": bool,
         "n_temperatures": int, "n_inner": int, "step_size": float,
-        "clip_norm": float|null, "store_ensembles": bool
+        "clip_norm": float|null
       }
     }
+
+A ``float`` field also takes an integer; JSON booleans are not numbers.
 
 ``method: "kalman"`` is the exact-posterior oracle and is only valid for
 the linear-Gaussian experiment; it always uses the true reference prior, so
 ``init_prior_shift`` affects only the ensemble methods.  Floats in the CSV
 files carry 17 significant digits and round-trip exactly.
 
-The exit status is 1 for an invalid config and 2 when an SSLS run fails;
-the message on standard error names the failing step.
+The exit status is 1 for an invalid config and 2 when a filter run fails
+(SSLS, EnKF or APF); the message on standard error names the failing step.
 """
-
-from __future__ import annotations
 
 import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,7 @@ import numpy as np
 from . import baselines
 from .assimilator import AssimilationError, AssimilationRecord, SslsConfig, assimilate
 from .models import (
+    LINEAR_GAUSSIAN,
     ModelSpec,
     ReferenceRun,
     make_double_well,
@@ -80,7 +83,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class ModelParams:
-    """Experiment-specific model parameters with standard benchmark defaults."""
+    """Experiment-specific model parameters with standard benchmark defaults.
+
+    The config file's ``model`` section is parsed by these annotations.
+    """
 
     beta: float = 0.3
     dt: float | None = None
@@ -94,7 +100,10 @@ class ModelParams:
 
 @dataclass
 class SslsParams:
-    """Flat view of the SSLS knobs exposed through the config file."""
+    """Flat view of the SSLS knobs exposed through the config file.
+
+    The config file's ``ssls`` section is parsed by these annotations.
+    """
 
     smoothing: float = 0.1
     epochs: int = 60
@@ -106,7 +115,6 @@ class SslsParams:
     n_inner: int = 20
     step_size: float = 0.01
     clip_norm: float | None = 100.0
-    store_ensembles: bool = False
 
 
 @dataclass
@@ -151,47 +159,28 @@ class ExperimentConfig:
             raise ConfigError("field 'mutation_period': must be at least 1")
 
 
-# Per-experiment defaults applied before the config file's own values.
+# Per-experiment defaults, over the dataclass defaults and _TOP_LEVEL_DEFAULTS.
 _EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "linear_gaussian": {
-        "ensemble_size": 500,
-        "steps": 10,
-        "ssls": {"step_size": 0.01, "epochs": 60},
-    },
+    "linear_gaussian": {"steps": 10},
     "double_well_linear": {
-        "ensemble_size": 500,
         "steps": 100,
         "mutation_period": 20,
         "model": {"dt": 0.1, "obs_noise_std": 0.1},
-        "ssls": {"step_size": 0.005, "epochs": 60},
+        "ssls": {"step_size": 0.005},
     },
     "double_well_nonlinear": {
-        "ensemble_size": 500,
         "steps": 100,
         "mutation_period": 20,
         "model": {"dt": 0.1, "obs_noise_std": 0.2},
-        "ssls": {"step_size": 0.005, "epochs": 60},
+        "ssls": {"step_size": 0.005},
     },
     "lorenz96": {
-        "ensemble_size": 500,
         "steps": 50,
         "model": {"dt": 0.05, "obs_noise_std": 0.5},
-        "ssls": {"step_size": 0.01, "epochs": 50, "batch_size": 100},
+        "ssls": {"epochs": 50, "batch_size": 100},
     },
 }
-
-_TOP_LEVEL_KEYS = {
-    "experiment",
-    "method",
-    "methods",
-    "ensemble_size",
-    "steps",
-    "seed",
-    "mutation_period",
-    "out_dir",
-    "model",
-    "ssls",
-}
+_TOP_LEVEL_DEFAULTS = {"ensemble_size": 500, "seed": 0, "mutation_period": None}
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -200,20 +189,35 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _coerce(section: dict, key: str, kind, where: str, allow_none: bool = False):
-    value = section[key]
-    if value is None and allow_none:
-        return None
-    try:
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise TypeError
-            return value
-        if kind is int and isinstance(value, bool):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} field {key!r}: expected {kind.__name__}, got {value!r}")
+def _typed(values: dict, cls, where: str) -> dict:
+    """``values`` checked against the annotations of ``cls``'s fields.
+
+    A field's annotation gives its kind (``int``, ``float`` or ``bool``) and
+    whether it may be ``null`` (``| None``).  A float field also takes an
+    integer; JSON booleans are not numbers.  The annotations are read as
+    evaluated types, so this module must not postpone their evaluation.
+    """
+    hints = {f.name: f.type for f in fields(cls)}
+    typed = {}
+    for key, value in values.items():
+        kind, *rest = typing.get_args(hints[key]) or (hints[key],)
+        if value is None and type(None) in rest:
+            typed[key] = None
+            continue
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{where} field {key!r}: expected {kind.__name__}, got {value!r}")
+        typed[key] = kind(value)
+    return typed
+
+
+def _section(raw: dict, name: str, cls, defaults: dict):
+    """Build ``cls`` from section ``name`` over the experiment's defaults."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"field {name!r}: must be an object")
+    _check_keys(section, cls.__dataclass_fields__, f"{name!r}")
+    return cls(**_typed({**defaults.get(name, {}), **section}, cls, f"{name!r}"))
 
 
 def load_config(path, compare: bool = False) -> ExperimentConfig:
@@ -231,7 +235,7 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _check_keys(raw, _TOP_LEVEL_KEYS, str(path))
+    _check_keys(raw, {*ExperimentConfig.__dataclass_fields__, "method"}, str(path))
 
     if "experiment" not in raw:
         raise ConfigError("field 'experiment' is required")
@@ -257,58 +261,15 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
             raise ConfigError("field 'method' is required")
         methods = [str(raw["method"])]
 
-    model_raw = dict(defaults.get("model", {}))
-    model_section = raw.get("model", {})
-    if not isinstance(model_section, dict):
-        raise ConfigError("field 'model': must be an object")
-    _check_keys(model_section, ModelParams.__dataclass_fields__, "'model'")
-    model_raw.update(model_section)
-    model_kwargs = {}
-    for key in model_raw:
-        kind = {"dim": int}.get(key, float)
-        model_kwargs[key] = _coerce(model_raw, key, kind, "'model'",
-                                    allow_none=key in ("dt", "obs_noise_std"))
-    model = ModelParams(**model_kwargs)
-
-    ssls_raw = dict(defaults.get("ssls", {}))
-    ssls_section = raw.get("ssls", {})
-    if not isinstance(ssls_section, dict):
-        raise ConfigError("field 'ssls': must be an object")
-    _check_keys(ssls_section, SslsParams.__dataclass_fields__, "'ssls'")
-    ssls_raw.update(ssls_section)
-    ssls_kwargs = {}
-    for key in ssls_raw:
-        kind = {
-            "epochs": int,
-            "init_epochs": int,
-            "batch_size": int,
-            "n_temperatures": int,
-            "n_inner": int,
-            "warm_start": bool,
-            "store_ensembles": bool,
-        }.get(key, float)
-        ssls_kwargs[key] = _coerce(ssls_raw, key, kind, "'ssls'",
-                                   allow_none=key == "clip_norm")
-    ssls = SslsParams(**ssls_kwargs)
-
-    mutation_default = defaults.get("mutation_period")
-    mutation = raw.get("mutation_period", mutation_default)
-    if mutation is not None:
-        mutation = _coerce({"mutation_period": mutation}, "mutation_period", int, "top level")
-
+    top = {**_TOP_LEVEL_DEFAULTS, **defaults, **raw}
+    scalars = ("ensemble_size", "steps", "seed", "mutation_period")
     return ExperimentConfig(
         experiment=experiment,
         methods=methods,
-        ensemble_size=_coerce(
-            {"ensemble_size": raw.get("ensemble_size", defaults["ensemble_size"])},
-            "ensemble_size", int, "top level",
-        ),
-        steps=_coerce({"steps": raw.get("steps", defaults["steps"])}, "steps", int, "top level"),
-        seed=_coerce({"seed": raw.get("seed", 0)}, "seed", int, "top level"),
         out_dir=str(raw.get("out_dir", "results")),
-        mutation_period=mutation,
-        model=model,
-        ssls=ssls,
+        model=_section(raw, "model", ModelParams, defaults),
+        ssls=_section(raw, "ssls", SslsParams, defaults),
+        **_typed({k: top[k] for k in scalars}, ExperimentConfig, "top level"),
     )
 
 
@@ -350,7 +311,6 @@ def build_ssls_config(cfg: ExperimentConfig, seed: int) -> SslsConfig:
             epochs=s.epochs,
             batch_size=s.batch_size,
             learning_rate=s.learning_rate,
-            warm_start=s.warm_start,
         ),
         plan=AnnealPlan(
             betas=make_schedule(s.n_temperatures),
@@ -361,12 +321,7 @@ def build_ssls_config(cfg: ExperimentConfig, seed: int) -> SslsConfig:
         warm_start=s.warm_start,
         init_epochs=s.init_epochs,
         seed=seed,
-        store_ensembles=s.store_ensembles,
     )
-
-
-def _linear_gaussian_oracle() -> baselines.LinearGaussianSpec:
-    return baselines.LinearGaussianSpec(A=1.0, Q=5.0, H=1.0, R=0.2, m0=0.0, P0=1.0)
 
 
 def run_method(
@@ -380,7 +335,7 @@ def run_method(
     if method == "apf":
         return baselines.run_apf(model, run, cfg.ensemble_size, seed=seed)
     if method == "kalman":
-        return baselines.run_kalman(_linear_gaussian_oracle(), run)
+        return baselines.run_kalman(baselines.LinearGaussianSpec(**LINEAR_GAUSSIAN), run)
     raise ConfigError(f"field 'method': unknown method {method!r}")
 
 

@@ -88,13 +88,12 @@ def coverage(ensemble: Array, truth: Array) -> float:
     return float(np.mean((truth >= lo) & (truth <= hi)))
 
 
-def crps(samples: Array, truth: Array, unbiased: bool = False) -> float:
+def crps(samples: Array, truth: Array) -> float:
     """Continuous ranked probability score of an empirical forecast.
 
     Uses the energy form ``mean_i |x_i - y| - (1/(2 n^2)) sum_ij |x_i - x_j|``
     per dimension; multi-dimensional inputs return the average of the
-    per-dimension scores.  With ``unbiased=True`` the pairwise term is
-    divided by ``2 n (n - 1)`` instead.
+    per-dimension scores.
 
     Parameters
     ----------
@@ -112,16 +111,13 @@ def crps(samples: Array, truth: Array, unbiased: bool = False) -> float:
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
     if samples.shape[1] != truth.shape[0]:
         raise ValueError(f"dimension mismatch: {samples.shape[1]} vs {truth.shape[0]}")
-    if unbiased and n < 2:
-        raise ValueError("the unbiased estimator needs at least 2 samples")
 
     abs_error = np.mean(np.abs(samples - truth), axis=0)
     # For sorted values, sum_ij |x_i - x_j| = 2 * sum_k (2k - n + 1) x_(k).
     sorted_samples = np.sort(samples, axis=0)
     ranks = 2.0 * np.arange(n) - n + 1.0
     pair_sum = 2.0 * np.sum(ranks[:, None] * sorted_samples, axis=0)
-    denom = 2.0 * n * (n - 1) if unbiased else 2.0 * n * n
-    return float(np.mean(abs_error - pair_sum / denom))
+    return float(np.mean(abs_error - pair_sum / (2.0 * n * n)))
 
 
 def crps_gaussian(mean: Array, std: Array, truth: Array) -> float:

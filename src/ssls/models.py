@@ -134,6 +134,32 @@ class ReferenceRun:
         return len(self.states)
 
 
+# make_linear_gaussian's constants, named as in LinearGaussianSpec:
+# X_1 ~ N(m0, P0), X_{k+1} = A X_k + N(0, Q), Y_k = H X_k + N(0, R).
+LINEAR_GAUSSIAN = {"A": 1.0, "Q": 5.0, "H": 1.0, "R": 0.2, "m0": 0.0, "P0": 1.0}
+
+
+def _fields(*functions) -> dict:
+    """``ModelSpec`` keyword arguments, one per function, keyed by its name."""
+    return {f.__name__: f for f in functions}
+
+
+def _direct_observation(obs_var: float) -> dict:
+    """``ModelSpec`` callables for ``Y = X + W`` with ``W ~ N(0, obs_var I)``."""
+
+    def observation_mean(x):
+        return np.asarray(x, dtype=float)
+
+    def log_likelihood(x, y):
+        resid = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+        return -0.5 * np.sum(resid**2, axis=-1) / obs_var
+
+    def log_likelihood_grad(x, y):
+        return (np.asarray(y, dtype=float) - np.asarray(x, dtype=float)) / obs_var
+
+    return _fields(observation_mean, log_likelihood, log_likelihood_grad)
+
+
 def make_linear_gaussian(guess_mean: float = 0.0, guess_std: float = 1.0) -> ModelSpec:
     """One-dimensional linear-Gaussian random walk.
 
@@ -149,21 +175,14 @@ def make_linear_gaussian(guess_mean: float = 0.0, guess_std: float = 1.0) -> Mod
     """
     if guess_std <= 0:
         raise ValueError("guess_std must be positive")
-    process_var = 5.0
-    obs_var = 0.2
+    process_var = LINEAR_GAUSSIAN["Q"]
+    obs_var = LINEAR_GAUSSIAN["R"]
 
     def dynamics(x, v):
         return x + v
 
     def noise(rng, n):
         return np.sqrt(process_var) * rng.standard_normal((n, 1))
-
-    def log_likelihood(x, y):
-        resid = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return -0.5 * np.sum(resid**2, axis=-1) / obs_var
-
-    def log_likelihood_grad(x, y):
-        return (np.asarray(y, dtype=float) - np.asarray(x, dtype=float)) / obs_var
 
     def guess_prior(rng, n):
         return guess_mean + guess_std * rng.standard_normal((n, 1))
@@ -177,12 +196,10 @@ def make_linear_gaussian(guess_mean: float = 0.0, guess_std: float = 1.0) -> Mod
         noise_dim=1,
         dynamics=dynamics,
         dynamics_noise_sampler=noise,
-        log_likelihood=log_likelihood,
-        log_likelihood_grad=log_likelihood_grad,
         initial_prior_sampler=guess_prior,
         reference_initial_sampler=reference_prior,
-        observation_mean=lambda x: np.asarray(x, dtype=float),
         obs_noise_std=float(np.sqrt(obs_var)),
+        **_direct_observation(obs_var),
     )
 
 
@@ -245,17 +262,7 @@ def make_double_well(
         return rng.standard_normal((n, 1))
 
     if measurement == "linear":
-
-        def observation_mean(x):
-            return np.asarray(x, dtype=float)
-
-        def log_likelihood(x, y):
-            resid = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-            return -0.5 * np.sum(resid**2, axis=-1) / obs_var
-
-        def log_likelihood_grad(x, y):
-            return (np.asarray(y, dtype=float) - np.asarray(x, dtype=float)) / obs_var
-
+        observation = _direct_observation(obs_var)
     else:
 
         def observation_mean(x):
@@ -269,6 +276,8 @@ def make_double_well(
             h = observation_mean(x)
             return (np.asarray(y, dtype=float) - h) * h / obs_var
 
+        observation = _fields(observation_mean, log_likelihood, log_likelihood_grad)
+
     def initial(rng, n):
         return -1.0 + 0.15 * rng.standard_normal((n, 1))
 
@@ -278,12 +287,10 @@ def make_double_well(
         noise_dim=1,
         dynamics=dynamics,
         dynamics_noise_sampler=noise,
-        log_likelihood=log_likelihood,
-        log_likelihood_grad=log_likelihood_grad,
         initial_prior_sampler=initial,
         reference_initial_sampler=initial,
-        observation_mean=observation_mean,
         obs_noise_std=float(obs_noise_std),
+        **observation,
     )
 
 
@@ -377,13 +384,6 @@ def make_lorenz96(
             return np.zeros((n, dim))
         return process_noise_std * rng.standard_normal((n, dim))
 
-    def log_likelihood(x, y):
-        resid = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-        return -0.5 * np.sum(resid**2, axis=-1) / obs_var
-
-    def log_likelihood_grad(x, y):
-        return (np.asarray(y, dtype=float) - np.asarray(x, dtype=float)) / obs_var
-
     def guess_prior(rng, n):
         return rng.standard_normal((n, dim))
 
@@ -399,12 +399,10 @@ def make_lorenz96(
         noise_dim=dim,
         dynamics=dynamics,
         dynamics_noise_sampler=noise,
-        log_likelihood=log_likelihood,
-        log_likelihood_grad=log_likelihood_grad,
         initial_prior_sampler=guess_prior,
         reference_initial_sampler=reference_prior,
-        observation_mean=lambda x: np.asarray(x, dtype=float),
         obs_noise_std=float(obs_noise_std),
+        **_direct_observation(obs_var),
     )
 
 

@@ -40,16 +40,14 @@ class NonFiniteEnsembleError(RuntimeError):
         )
 
 
-def make_schedule(num_temperatures: int, kind: str = "linear") -> Array:
-    """Inverse-temperature ladder ``0 < beta_1 < ... < beta_M = 1``.
+def make_schedule(num_temperatures: int) -> Array:
+    """Linear inverse-temperature ladder ``beta_m = m / M``, ending at exactly 1.
 
-    The linear ladder is ``beta_m = m / M``.  A single temperature gives
-    ``[1.0]``, i.e. vanilla (non-annealed) Langevin Monte Carlo.
+    A single temperature gives ``[1.0]``, i.e. vanilla (non-annealed)
+    Langevin Monte Carlo.
     """
     if num_temperatures < 1:
         raise ValueError("need at least one temperature")
-    if kind != "linear":
-        raise ValueError(f"unknown schedule kind {kind!r}")
     betas = np.arange(1, num_temperatures + 1) / num_temperatures
     betas[-1] = 1.0
     return betas
@@ -119,24 +117,6 @@ def clip_score(v: Array, max_norm: float) -> Array:
     factor = np.ones_like(norm)
     np.divide(max_norm, norm, out=factor, where=needs_clip)
     return v * factor
-
-
-def annealed_drift(beta: float, grad_loglik: Array, score: Array) -> Array:
-    """Drift of the tempered posterior: ``beta * grad_loglik + score``."""
-    return beta * np.asarray(grad_loglik, dtype=float) + np.asarray(score, dtype=float)
-
-
-def lmc_step(particles: Array, drift, step_size: float, rng: Generator) -> Array:
-    """One Euler-Maruyama step ``z + h * drift(z) + sqrt(2h) * xi``.
-
-    Every particle receives an independent standard-normal ``xi``; the
-    particle count is preserved.
-    """
-    if step_size < 0:
-        raise ValueError("step_size must be non-negative")
-    particles = np.asarray(particles, dtype=float)
-    noise = rng.standard_normal(particles.shape)
-    return particles + step_size * drift(particles) + np.sqrt(2.0 * step_size) * noise
 
 
 def almc_update(

@@ -60,8 +60,6 @@ PARAM_DTYPE = np.dtype(np.float32)
 
 _PARAM_DTYPES = frozenset([np.dtype(np.float32), np.dtype(np.float64)])
 
-_ACTIVATION_CODES = {name: i for i, name in enumerate(ACTIVATIONS)}
-
 
 def _sigmoid(t: Array) -> Array:
     """Logistic function ``1 / (1 + exp(-t))``, computed in place on ``t``.
@@ -97,13 +95,9 @@ class TrainConfig:
     batch_size : int
         Minibatch size for Adam updates.
     learning_rate, adam_beta1, adam_beta2, adam_eps : float
-        Adam optimizer settings.
-    lr_schedule : {"cosine", "constant"}
-        Per-epoch learning-rate schedule.  Cosine decay to zero removes the
-        endpoint jitter of constant-rate Adam and is the default.
-    warm_start : bool
-        When a previously trained network is supplied to
-        :func:`train_score`, reuse its weights instead of reinitializing.
+        Adam optimizer settings.  The learning rate decays to zero over the
+        epochs on a cosine schedule, which removes the endpoint jitter of
+        constant-rate Adam.
     hidden : tuple of int
         Hidden-layer widths.  An empty tuple gives a single linear layer.
     activation : {"sigmoid", "relu"}
@@ -117,8 +111,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    lr_schedule: str = "cosine"
-    warm_start: bool = True
     hidden: tuple[int, ...] = (128, 128)
     activation: str = "sigmoid"
 
@@ -129,8 +121,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ValueError("lr_schedule must be 'cosine' or 'constant'")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         self.hidden = tuple(int(w) for w in self.hidden)
@@ -246,14 +236,6 @@ class ScoreNetwork:
         with np.errstate(over="ignore"):
             np.divide(np.subtract(rows, self.shift), self.scale, out=z)
         return np.divide(self._kernel(z)[-1], self.scale).reshape(x.shape)
-
-    __call__ = forward
-
-    def finite(self) -> bool:
-        """True when every weight and bias is finite."""
-        return all(np.isfinite(w).all() for w in self.weights) and all(
-            np.isfinite(b).all() for b in self.biases
-        )
 
     def copy(self) -> "ScoreNetwork":
         return ScoreNetwork(
@@ -408,11 +390,11 @@ def train_score(
 
     The ensemble is whitened and the affine transform is frozen into the
     returned network.  Training runs Adam over shuffled minibatches with
-    perturbation noise redrawn every epoch.  When ``init`` is given and
-    ``config.warm_start`` is set, optimization starts from ``init``'s
-    weights (the whitening transform is still recomputed from the current
-    ensemble) and the new network takes over ``init``'s workspace when
-    their dtypes match; otherwise weights are freshly initialized.  The
+    perturbation noise redrawn every epoch.  When ``init`` is given,
+    optimization starts from its weights (the whitening transform is still
+    recomputed from the current ensemble) and the new network takes over
+    ``init``'s workspace when their dtypes match; otherwise weights are
+    freshly initialized.  The
     returned network's parameters are ``PARAM_DTYPE``; the perturbation
     noise is drawn in float64 and rounded, so the random stream does not
     depend on it.
@@ -432,7 +414,7 @@ def train_score(
     whitened, shift, scale = whiten(ensemble)
     whitened = whitened.astype(PARAM_DTYPE)
     sizes = (d, *config.hidden, d)
-    warm = init is not None and config.warm_start
+    warm = init is not None
     if warm and init.layer_sizes != sizes:
         raise ValueError(
             f"warm-start network has layer sizes {init.layer_sizes}, expected {sizes}"
@@ -465,10 +447,7 @@ def train_score(
     b1, b2 = config.adam_beta1, config.adam_beta2
 
     for epoch in range(config.epochs):
-        if config.lr_schedule == "cosine":
-            lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
-        else:
-            lr = config.learning_rate
+        lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
         noise = rng.standard_normal((n, d)).astype(PARAM_DTYPE)
         order = rng.permutation(n)
         # One gather per epoch; minibatches are contiguous slices of it.
@@ -503,58 +482,3 @@ def train_score(
             params -= step
     return net
 
-
-def save_checkpoint(net: ScoreNetwork, path) -> None:
-    """Dump a network to a flat little-endian binary file.
-
-    Layout: an ``int64`` header
-    ``[n_sizes, *layer_sizes, activation_code, param_bytes]``, the
-    ``float64`` whitening transform ``shift, scale``, then the parameters
-    ``W_0, b_0, W_1, b_1, ...`` as floats of ``param_bytes`` bytes (4 or 8,
-    the network's dtype), with weight matrices in row-major order.
-    """
-    sizes = net.layer_sizes
-    header = np.array(
-        [len(sizes), *sizes, _ACTIVATION_CODES[net.activation], net.dtype.itemsize],
-        dtype="<i8",
-    )
-    params = []
-    for w, b in zip(net.weights, net.biases):
-        params.extend([w.ravel(), b])
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        np.concatenate([net.shift, net.scale]).astype("<f8").tofile(fh)
-        np.concatenate(params).astype(f"<f{net.dtype.itemsize}").tofile(fh)
-
-
-def load_checkpoint(path) -> ScoreNetwork:
-    """Inverse of :func:`save_checkpoint`."""
-    with open(path, "rb") as fh:
-        n_sizes = int(np.fromfile(fh, dtype="<i8", count=1)[0])
-        sizes = tuple(int(s) for s in np.fromfile(fh, dtype="<i8", count=n_sizes))
-        code, param_bytes = (int(v) for v in np.fromfile(fh, dtype="<i8", count=2))
-        if param_bytes not in (4, 8):
-            raise ValueError(f"checkpoint has unsupported parameter width {param_bytes}")
-        d = sizes[0]
-        shift, scale = np.fromfile(fh, dtype="<f8", count=2 * d).reshape(2, d)
-        flat = np.fromfile(fh, dtype=f"<f{param_bytes}")
-    activation = ACTIVATIONS[code]
-    dtype = np.dtype(f"f{param_bytes}")
-    pos = 0
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in)
-        weights.append(w.astype(dtype))
-        pos += fan_in * fan_out
-        biases.append(flat[pos : pos + fan_out].astype(dtype))
-        pos += fan_out
-    if pos != flat.size:
-        raise ValueError(f"checkpoint has {flat.size - pos} unexpected trailing values")
-    return ScoreNetwork(
-        weights=weights,
-        biases=biases,
-        activation=activation,
-        shift=shift.copy(),
-        scale=scale.copy(),
-    )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ssls import assimilator
 from ssls.assimilator import (
     AssimilationError,
     SslsConfig,
@@ -10,8 +11,14 @@ from ssls.assimilator import (
     initial_update,
     predict,
 )
-from ssls.baselines import LinearGaussianSpec, kalman_filter
-from ssls.models import ReferenceRun, make_double_well, make_linear_gaussian, simulate_reference
+from ssls.baselines import LinearGaussianSpec, kalman_filter, run_apf, run_enkf
+from ssls.models import (
+    ReferenceRun,
+    make_double_well,
+    make_linear_gaussian,
+    make_lorenz96,
+    simulate_reference,
+)
 from ssls.sampler import AnnealPlan, make_schedule
 from ssls.score_net import TrainConfig
 
@@ -69,7 +76,7 @@ class TestInitialUpdate:
         post_var = 1 / 6
         assert abs(posterior.mean() - post_mean) < 0.06
         assert posterior.var(ddof=1) == pytest.approx(post_var, rel=0.25)
-        assert net.finite()
+        assert all(np.isfinite(p).all() for p in net.weights + net.biases)
 
     def test_flat_likelihood_keeps_prior_law(self):
         model = make_linear_gaussian().replace(
@@ -163,8 +170,16 @@ class TestAssimilate:
             assert abs(r.mean[0] - means[r.step - 1, 0]) < 0.5
 
     def test_failure_reports_step_index(self):
-        model = make_linear_gaussian()
-        observations = np.array([[0.1], [np.inf], [0.3]])
+        # The likelihood gradient of the second observation is NaN, so the
+        # Langevin update fails there.  (A non-finite observation itself is
+        # rejected before any work; see TestInputChecks.)
+        base = make_linear_gaussian()
+        model = base.replace(
+            log_likelihood_grad=lambda x, y: (
+                np.full_like(x, np.nan) if y[0] == 9.0 else base.log_likelihood_grad(x, y)
+            )
+        )
+        observations = np.array([[0.1], [9.0], [0.3]])
         run = ReferenceRun(states=np.zeros((3, 1)), observations=observations)
         cfg = light_config(n=50, seed=0)
         cfg.train = TrainConfig(smoothing=0.1, epochs=3, batch_size=32)
@@ -186,3 +201,74 @@ class TestAssimilate:
         with pytest.raises(AssimilationError, match="not finite") as excinfo:
             assimilate(model, run, cfg)
         assert excinfo.value.step == 1
+
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_warm_start_flag_decides_the_init_network(self, monkeypatch, warm_start):
+        """Warm steps train from the previous step's network only when
+        ``SslsConfig.warm_start`` is set; step 1 always trains from scratch."""
+        inits, nets = [], []
+
+        def recording_train(samples, config, init=None, rng=None):
+            inits.append(init)
+            nets.append(real_train(samples, config, init=init, rng=rng))
+            return nets[-1]
+
+        real_train = assimilator.train_score
+        monkeypatch.setattr(assimilator, "train_score", recording_train)
+        model = make_linear_gaussian()
+        run = simulate_reference(model, 3, rng=np.random.default_rng(11))
+        cfg = light_config(n=40, seed=2, warm_start=warm_start)
+        cfg.train = TrainConfig(smoothing=0.1, epochs=2, batch_size=32, hidden=(8,))
+        cfg.init_epochs = 2
+        assimilate(model, run, cfg)
+        assert inits[0] is None
+        if warm_start:
+            assert inits[1] is nets[0] and inits[2] is nets[1]
+        else:
+            assert inits[1] is None and inits[2] is None
+
+
+def tiny_ssls(model, run, ensemble_size, seed=0):
+    cfg = SslsConfig(
+        ensemble_size=ensemble_size,
+        train=TrainConfig(epochs=2, batch_size=32, hidden=(8,)),
+        plan=AnnealPlan(betas=make_schedule(2), n_inner=2, step_size=0.01),
+        seed=seed,
+    )
+    return assimilate(model, run, cfg)
+
+
+FILTERS = {"ssls": tiny_ssls, "enkf": run_enkf, "apf": run_apf}
+
+
+def no_prior(rng, n):
+    raise AssertionError("the run was not checked before the prior draw")
+
+
+class TestInputChecks:
+    """``run_filter`` checks a run against the model before any work."""
+
+    @pytest.mark.parametrize("method", sorted(FILTERS))
+    def test_non_finite_observation_names_first_bad_step(self, method):
+        model = make_linear_gaussian().replace(initial_prior_sampler=no_prior)
+        observations = np.array([[0.1], [np.nan], [0.3], [np.inf]])
+        run = ReferenceRun(states=np.zeros((4, 1)), observations=observations)
+        with pytest.raises(ValueError, match="step 2: observation is not finite"):
+            FILTERS[method](model, run, 20)
+
+    @pytest.mark.parametrize("method", sorted(FILTERS))
+    def test_run_of_the_wrong_width_rejected(self, method):
+        model = make_lorenz96(dim=20).replace(initial_prior_sampler=no_prior)
+        one_d = ReferenceRun(states=np.zeros((3, 1)), observations=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="state width 1 does not match .* 20"):
+            FILTERS[method](model, one_d, 20)
+        wide_states = ReferenceRun(states=np.zeros((3, 20)), observations=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="observation width 1 does not match .* 20"):
+            FILTERS[method](model, wide_states, 20)
+
+    @pytest.mark.parametrize("method", ["enkf", "apf"])
+    def test_ensemble_of_one_rejected(self, method):
+        model = make_linear_gaussian().replace(initial_prior_sampler=no_prior)
+        run = ReferenceRun(states=np.zeros((2, 1)), observations=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="ensemble_size"):
+            FILTERS[method](model, run, 1)

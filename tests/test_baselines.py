@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ssls.assimilator import AssimilationError
 from ssls.baselines import (
     LinearGaussianSpec,
     WeightedParticles,
@@ -18,7 +19,7 @@ from ssls.baselines import (
     run_kalman,
     systematic_resample,
 )
-from ssls.models import ModelSpec, make_linear_gaussian, simulate_reference
+from ssls.models import ModelSpec, ReferenceRun, make_linear_gaussian, simulate_reference
 
 
 def lg_spec():
@@ -274,3 +275,15 @@ class TestDrivers:
         assert all(r.ensemble is not None and r.ensemble.shape == (32, 1) for r in records)
         records = run_enkf(model, run, 32, seed=1)
         assert all(r.ensemble is None for r in records)
+
+    def test_diverged_enkf_run_fails_at_its_step(self):
+        """A finite but huge observation makes the EnKF ensemble std overflow
+        at step 2; the run fails there instead of recording inf and NaN."""
+        model = make_linear_gaussian()
+        run = simulate_reference(model, 4, rng=np.random.default_rng(14))
+        observations = run.observations.copy()
+        observations[1] = 1e300
+        run = ReferenceRun(states=run.states, observations=observations)
+        with pytest.raises(AssimilationError, match="not finite") as excinfo:
+            run_enkf(model, run, 64, seed=2)
+        assert excinfo.value.step == 2

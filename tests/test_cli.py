@@ -1,17 +1,23 @@
 """Experiment runner: config parsing, CSV outputs, determinism, errors."""
 
 import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from ssls.cli import (
     ConfigError,
+    ModelParams,
+    SslsParams,
     compare_methods,
     load_config,
     main,
     run_experiment,
 )
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 FAST_SSLS = {
     "epochs": 4,
@@ -219,3 +225,131 @@ class TestMain:
         path.write_text(json.dumps(raw))
         assert main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 0
         assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+# Every config field, with a value of its kind, wrong-kind values, and
+# whether it may be null.
+FIELD_CASES = {
+    "model": {
+        "beta": (0.4, ["x", True], False),
+        "dt": (0.02, ["x", True], True),
+        "obs_noise_std": (0.3, ["x", False], True),
+        "gamma": (0.5, ["x", True], False),
+        "dim": (8, ["x", 8.5, True], False),
+        "forcing": (6.0, ["x", True], False),
+        "process_noise_std": (0.2, ["x", True], False),
+        "init_prior_shift": (-3.0, ["x", True], False),
+    },
+    "ssls": {
+        "smoothing": (0.2, ["x", True], False),
+        "epochs": (7, ["x", 7.5, True], False),
+        "init_epochs": (9, ["x", 9.5, True], False),
+        "batch_size": (16, ["x", 16.0, True], False),
+        "learning_rate": (0.002, ["x", True], False),
+        "warm_start": (False, ["x", 0, 1.0], False),
+        "n_temperatures": (3, ["x", 3.5, True], False),
+        "n_inner": (5, ["x", 5.5, True], False),
+        "step_size": (0.02, ["x", True], False),
+        "clip_norm": (50.0, ["x", True], True),
+    },
+}
+
+
+def test_field_cases_cover_every_field():
+    for section, cls in (("model", ModelParams), ("ssls", SslsParams)):
+        assert set(FIELD_CASES[section]) == {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "section,name",
+    [(section, name) for section, cases in FIELD_CASES.items() for name in cases],
+)
+def test_each_field_checks_its_kind(tmp_path, section, name):
+    good, wrong, nullable = FIELD_CASES[section][name]
+    cfg = load_config(write_config(tmp_path, method="enkf", **{section: {name: good}}))
+    got = getattr(getattr(cfg, section), name)
+    assert got == good and type(got) is type(good)
+    if isinstance(good, float):  # an integer is a valid real number
+        cfg = load_config(write_config(tmp_path, method="enkf", **{section: {name: 2}}))
+        assert getattr(getattr(cfg, section), name) == 2.0
+    for value in wrong:
+        path = write_config(tmp_path, method="enkf", **{section: {name: value}})
+        with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
+            load_config(path)
+    path = write_config(tmp_path, method="enkf", **{section: {name: None}})
+    if nullable:
+        assert getattr(getattr(load_config(path), section), name) is None
+    else:
+        with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
+            load_config(path)
+
+
+def test_store_ensembles_is_not_a_config_field(tmp_path):
+    path = write_config(tmp_path, ssls=dict(FAST_SSLS, store_ensembles=True))
+    with pytest.raises(ConfigError, match="store_ensembles"):
+        load_config(path)
+
+
+# What each file in demos/configs/ loads to, recorded before the parser was
+# derived from the dataclass annotations.
+_LG_MODEL = {
+    "beta": 0.3, "dt": None, "obs_noise_std": None, "gamma": 0.6, "dim": 20,
+    "forcing": 8.0, "process_noise_std": 0.31622776601683794, "init_prior_shift": 0.0,
+}
+_SSLS = {
+    "smoothing": 0.1, "epochs": 60, "init_epochs": 250, "batch_size": 128,
+    "learning_rate": 0.001, "warm_start": True, "n_temperatures": 10, "n_inner": 20,
+    "step_size": 0.01, "clip_norm": 100.0,
+}
+DEMO_EXPECTED = {
+    "compare_linear_gaussian.json": {
+        "experiment": "linear_gaussian", "methods": ["ssls", "kalman", "enkf", "apf"],
+        "ensemble_size": 500, "steps": 10, "seed": 7,
+        "out_dir": "results/compare_linear_gaussian", "mutation_period": None,
+        "model": _LG_MODEL, "ssls": _SSLS,
+    },
+    "double_well_linear.json": {
+        "experiment": "double_well_linear", "methods": ["ssls", "apf", "enkf"],
+        "ensemble_size": 500, "steps": 100, "seed": 3,
+        "out_dir": "results/double_well_linear", "mutation_period": 20,
+        "model": dict(_LG_MODEL, dt=0.1, obs_noise_std=0.1),
+        "ssls": dict(_SSLS, step_size=0.005),
+    },
+    "double_well_nonlinear.json": {
+        "experiment": "double_well_nonlinear", "methods": ["ssls", "apf", "enkf"],
+        "ensemble_size": 500, "steps": 100, "seed": 3,
+        "out_dir": "results/double_well_nonlinear", "mutation_period": 20,
+        "model": dict(_LG_MODEL, dt=0.1, obs_noise_std=0.2),
+        "ssls": dict(_SSLS, step_size=0.005),
+    },
+    "linear_gaussian.json": {
+        "experiment": "linear_gaussian", "methods": ["ssls"],
+        "ensemble_size": 500, "steps": 10, "seed": 7,
+        "out_dir": "results/linear_gaussian", "mutation_period": None,
+        "model": _LG_MODEL, "ssls": _SSLS,
+    },
+    "lorenz96.json": {
+        "experiment": "lorenz96", "methods": ["ssls"],
+        "ensemble_size": 500, "steps": 50, "seed": 1,
+        "out_dir": "results/lorenz96", "mutation_period": None,
+        "model": dict(_LG_MODEL, dt=0.05, obs_noise_std=0.5),
+        "ssls": dict(_SSLS, epochs=50, batch_size=100),
+    },
+    "shifted_prior.json": {
+        "experiment": "linear_gaussian", "methods": ["ssls"],
+        "ensemble_size": 500, "steps": 10, "seed": 7,
+        "out_dir": "results/shifted_prior", "mutation_period": None,
+        "model": dict(_LG_MODEL, init_prior_shift=-10.0), "ssls": _SSLS,
+    },
+}
+
+
+def test_demo_configs_are_all_recorded():
+    assert sorted(p.name for p in DEMO_CONFIGS.glob("*.json")) == sorted(DEMO_EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_EXPECTED))
+def test_demo_config_loads_as_recorded(name):
+    path = DEMO_CONFIGS / name
+    cfg = load_config(path, compare="methods" in json.loads(path.read_text()))
+    assert dataclasses.asdict(cfg) == DEMO_EXPECTED[name]

@@ -117,14 +117,6 @@ class TestCrps:
                 crps_integral(samples, truth), abs=1e-6
             )
 
-    def test_unbiased_variant_matches_direct_sum(self):
-        rng = np.random.default_rng(6)
-        samples = rng.normal(size=9)
-        truth = 0.3
-        pair = np.abs(samples[:, None] - samples[None, :]).sum()
-        direct = np.abs(samples - truth).mean() - pair / (2 * 9 * 8)
-        assert crps(samples, truth, unbiased=True) == pytest.approx(direct)
-
     def test_bounded_by_mean_absolute_error(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

@@ -10,9 +10,7 @@ from ssls.sampler import (
     AnnealPlan,
     NonFiniteEnsembleError,
     almc_update,
-    annealed_drift,
     clip_score,
-    lmc_step,
     make_schedule,
 )
 
@@ -31,8 +29,6 @@ class TestMakeSchedule:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             make_schedule(0)
-        with pytest.raises(ValueError):
-            make_schedule(3, kind="geometric")
 
 
 class TestAnnealPlan:
@@ -137,52 +133,68 @@ def test_clip_matches_reference_bit_for_bit(v, zero_row, threshold):
         assert got is v
 
 
+def zero(z):
+    return np.zeros_like(z)
+
+
+def one_step(particles, drift, step_size, rng):
+    """One Euler-Maruyama step ``z + h * drift(z) + sqrt(2h) * xi`` through
+    ``almc_update``: a single temperature and a single inner iteration."""
+    plan = AnnealPlan(betas=make_schedule(1), n_inner=1, step_size=step_size, clip_norm=None)
+    return almc_update(particles, drift, zero, plan, rng)
+
+
 class TestAnnealedDrift:
-    def test_zero_beta_gives_score_alone(self):
-        grad = np.array([2.0, 0.0])
-        score = np.array([0.0, 1.0])
-        assert np.array_equal(annealed_drift(0.0, grad, score), score)
+    """``almc_update``'s drift at temperature ``beta`` is ``beta * grad + score``."""
 
     def test_unit_beta_gives_full_posterior_drift(self):
-        grad = np.array([2.0, 0.0])
-        score = np.array([0.0, 1.0])
-        assert np.array_equal(annealed_drift(1.0, grad, score), grad + score)
+        pred = np.random.default_rng(0).normal(size=(6, 2))
+        plan = AnnealPlan(betas=make_schedule(1), n_inner=1, step_size=0.1, clip_norm=None)
+        out = almc_update(pred, lambda z: -z, lambda z: 2.0 - z, plan, np.random.default_rng(1))
+        xi = np.random.default_rng(1).standard_normal(pred.shape)
+        want = pred + 0.1 * ((2.0 - pred) + (-pred)) + np.sqrt(0.2) * xi
+        assert np.allclose(out, want, rtol=1e-14, atol=1e-14)
 
     def test_half_beta_arithmetic(self):
-        out = annealed_drift(0.5, np.array([2.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.allclose(out, [1.0, 1.0])
+        """At beta = 0.5 the first step takes half the likelihood gradient."""
+        pred = np.zeros((4, 2))
+        plan = AnnealPlan(betas=make_schedule(2), n_inner=1, step_size=0.1, clip_norm=None)
+        out = almc_update(pred, lambda z: np.tile([0.0, 1.0], (len(z), 1)),
+                          lambda z: np.tile([2.0, 0.0], (len(z), 1)), plan,
+                          np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        z = pred + 0.1 * np.array([1.0, 1.0]) + np.sqrt(0.2) * rng.standard_normal(pred.shape)
+        z = z + 0.1 * np.array([2.0, 1.0]) + np.sqrt(0.2) * rng.standard_normal(pred.shape)
+        assert np.allclose(out, z, rtol=1e-14, atol=1e-14)
 
 
 class TestLmcStep:
-    def test_zero_step_size_keeps_particles(self):
-        particles = np.random.default_rng(0).normal(size=(5, 2))
-        out = lmc_step(particles, lambda z: -z, 0.0, np.random.default_rng(1))
-        assert np.array_equal(out, particles)
+    """One Langevin step, run through ``almc_update``."""
 
     def test_pure_diffusion_reproduces_recorded_noise(self):
         particles = np.zeros((1, 1))
         h = 0.02
-        out = lmc_step(particles, lambda z: np.zeros_like(z), h, np.random.default_rng(3))
+        out = one_step(particles, zero, h, np.random.default_rng(3))
         xi = np.random.default_rng(3).standard_normal((1, 1))
         assert np.array_equal(out, np.sqrt(2 * h) * xi)
 
     def test_particle_count_preserved(self):
         particles = np.random.default_rng(0).normal(size=(17, 3))
-        out = lmc_step(particles, lambda z: -z, 0.01, np.random.default_rng(1))
+        out = one_step(particles, lambda z: -z, 0.01, np.random.default_rng(1))
         assert out.shape == (17, 3)
 
     def test_standard_gaussian_stationary_law(self):
         """Langevin with drift -z leaves N(0, 1) approximately invariant."""
         rng = np.random.default_rng(4)
         z = rng.standard_normal((2000, 1))
-        for _ in range(600):
-            z = lmc_step(z, lambda s: -s, 0.01, rng)
+        plan = AnnealPlan(betas=make_schedule(1), n_inner=600, step_size=0.01, clip_norm=None)
+        z = almc_update(z, lambda s: -s, zero, plan, rng)
         assert z.mean() == pytest.approx(0.0, abs=0.08)
         assert z.var(ddof=1) == pytest.approx(1.0, abs=0.12)
 
     def test_negative_step_size_rejected(self):
         with pytest.raises(ValueError):
-            lmc_step(np.zeros((1, 1)), lambda z: z, -0.1, np.random.default_rng(0))
+            one_step(np.zeros((1, 1)), lambda z: z, -0.1, np.random.default_rng(0))
 
 
 class TestAlmcUpdate:
@@ -224,8 +236,9 @@ class TestAlmcUpdate:
         plan = AnnealPlan(betas=make_schedule(1), n_inner=4, step_size=0.01)
         out = almc_update(pred, lambda z: -z, lambda z: 2 * z, plan, rng_a)
         manual = pred.copy()
-        for _ in range(4):
-            manual = lmc_step(manual, lambda z: -z + 2 * z, 0.01, rng_b)
+        for _ in range(4):  # Euler-Maruyama: z + h * drift(z) + sqrt(2h) * xi
+            xi = rng_b.standard_normal(manual.shape)
+            manual = manual + 0.01 * (-manual + 2 * manual) + np.sqrt(2 * 0.01) * xi
         assert np.allclose(out, manual)
 
     def test_fixed_seed_bit_identical(self):

@@ -93,7 +93,7 @@ def ref_train(ensemble, config, init, rng):
     n, d = ensemble.shape
     whitened, shift, scale = whiten(ensemble)
     sizes = (d, *config.hidden, d)
-    if init is not None and config.warm_start:
+    if init is not None:
         weights, biases = init.weights, init.biases
     else:
         weights, biases = _init_layers(sizes, rng)
@@ -106,10 +106,7 @@ def ref_train(ensemble, config, init, rng):
     t = 0
     b1, b2 = config.adam_beta1, config.adam_beta2
     for epoch in range(config.epochs):
-        if config.lr_schedule == "cosine":
-            lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
-        else:
-            lr = config.learning_rate
+        lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
         noise = rng.standard_normal((n, d))
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
