@@ -9,8 +9,6 @@ extrapolates smoothly, so the annealed Langevin update pulls the ensemble
 across the barrier within a step or two.
 """
 
-import warnings
-
 import numpy as np
 
 from ssls import (
@@ -39,9 +37,7 @@ config = SslsConfig(
 )
 print("running the Langevin assimilator (about a minute) ...")
 records = assimilate(model, run, config)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    apf = run_apf(model, run, 1000, seed=12)
+apf = run_apf(model, run, 1000, seed=12)
 enkf = run_enkf(model, run, 1000, seed=13)
 
 print(f"\n{'k':>3} {'reference':>10} {'langevin':>9} {'apf':>8} {'enkf':>8}")

@@ -8,8 +8,6 @@ left well.  The Langevin update uses the exact likelihood gradient instead
 and keeps tracking; so does the auxiliary particle filter, more slowly.
 """
 
-import warnings
-
 import numpy as np
 
 from ssls import (
@@ -38,9 +36,7 @@ config = SslsConfig(
 )
 print(f"assimilating {STEPS} steps of the exponential measurement model ...")
 records = assimilate(model, run, config)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", RuntimeWarning)
-    apf = run_apf(model, run, 1000, seed=7)
+apf = run_apf(model, run, 1000, seed=7)
 enkf = run_enkf(model, run, 1000, seed=8)
 
 rows = {

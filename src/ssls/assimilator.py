@@ -34,8 +34,9 @@ Array = np.ndarray
 
 
 class AssimilationError(RuntimeError):
-    """A filter run failed at one step: training or sampling diverged, or
-    the posterior ensemble's mean, std or metrics are not finite."""
+    """A filter run failed at one step: training or sampling diverged, the
+    APF's weights were all zero, or the posterior ensemble's mean, std or
+    metrics are not finite."""
 
     def __init__(self, step: int, message: str):
         self.step = step
@@ -140,9 +141,10 @@ def run_filter(
         observation width differs from the model's, or an observation is
         not finite (the message names the first such step).
     AssimilationError
-        When score training diverges, the ensemble becomes non-finite, or
-        its mean, std or metrics are not finite; the failing step index is
-        recorded on the exception.
+        When score training diverges, the ensemble becomes non-finite, the
+        update raises ``FloatingPointError`` (the APF's weights are all
+        zero), or the ensemble's mean, std or metrics are not finite; the
+        failing step index is recorded on the exception.
     """
     _check_inputs(model, run, ensemble_size)
     rng = np.random.default_rng(seed)
@@ -152,7 +154,7 @@ def run_filter(
         update = init if k == 1 else step
         try:
             ensemble = update(ensemble, model, run.observations[k - 1], rng)
-        except (TrainingDivergedError, NonFiniteEnsembleError) as exc:
+        except (TrainingDivergedError, NonFiniteEnsembleError, FloatingPointError) as exc:
             raise AssimilationError(k, str(exc)) from exc
         records.append(_record(k, ensemble, run, store_ensembles))
     return records

@@ -11,7 +11,6 @@ share its input checks, records and failure rule.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,29 +67,6 @@ class LinearGaussianSpec:
     @property
     def state_dim(self) -> int:
         return self.A.shape[0]
-
-
-@dataclass
-class WeightedParticles:
-    """A particle set with normalized, non-negative weights."""
-
-    particles: Array
-    weights: Array
-
-    def __post_init__(self):
-        self.particles = np.atleast_2d(np.asarray(self.particles, dtype=float))
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.particles.shape[0] != self.weights.shape[0]:
-            raise ValueError("one weight per particle required")
-        if np.any(np.isnan(self.weights)):
-            raise ValueError("weights contain NaN")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    def __len__(self) -> int:
-        return self.particles.shape[0]
 
 
 def kalman_update(mean: Array, cov: Array, spec: LinearGaussianSpec, y: Array):
@@ -191,38 +167,25 @@ def systematic_resample(weights: Array, n: int, rng: Generator) -> Array:
     return np.searchsorted(cdf, positions, side="right")
 
 
-def _normalize_log_weights(log_weights: Array) -> tuple[Array, bool]:
-    """Exponentiate and normalize; degenerate input falls back to uniform."""
-    log_weights = np.asarray(log_weights, dtype=float)
-    n = log_weights.shape[0]
-    top = np.max(log_weights)
+def _weights(log_w: Array, stage: str) -> Array:
+    """Normalized weights ``exp(log_w)``.
+
+    Raises ``FloatingPointError`` when they cannot be normalized: every
+    log-weight is -inf (no particle explains the observation), or one is
+    NaN or +inf.
+    """
+    top = np.max(log_w)
     if not np.isfinite(top):
-        return np.full(n, 1.0 / n), True
-    w = np.exp(log_weights - top)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return np.full(n, 1.0 / n), True
-    return w / total, False
-
-
-def _stage_weights(particles: Array, log_weights: Array, stage: str) -> WeightedParticles:
-    weights, degenerate = _normalize_log_weights(log_weights)
-    if degenerate:
-        warnings.warn(
-            f"APF {stage} weights degenerate; falling back to uniform",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return WeightedParticles(particles=particles, weights=weights)
+        raise FloatingPointError(f"APF {stage} weights are degenerate (max log-weight {top})")
+    w = np.exp(log_w - top)
+    return w / w.sum()
 
 
 def apf_init(particles: Array, model: ModelSpec, y: Array, rng: Generator) -> Array:
     """Assimilate the first observation: weight prior particles, resample."""
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
-    n = particles.shape[0]
-    staged = _stage_weights(particles, model.log_likelihood(particles, y), "initial")
-    idx = systematic_resample(staged.weights, n, rng)
-    return particles[idx]
+    weights = _weights(model.log_likelihood(particles, y), "initial")
+    return particles[systematic_resample(weights, particles.shape[0], rng)]
 
 
 def apf_step(particles: Array, model: ModelSpec, y_next: Array, rng: Generator) -> Array:
@@ -232,23 +195,21 @@ def apf_step(particles: Array, model: ModelSpec, y_next: Array, rng: Generator) 
     one-step prediction of each particle; after auxiliary resampling and
     noisy propagation, second-stage weights correct for the look-ahead bias
     and a final systematic resample returns equally weighted particles.
+    Either stage raises ``FloatingPointError`` when its weights are all
+    zero.
     """
     particles = np.atleast_2d(np.asarray(particles, dtype=float))
     n = particles.shape[0]
     y_next = np.atleast_1d(np.asarray(y_next, dtype=float))
 
-    predictive = model.dynamics(particles, model.zero_noise(n))
+    predictive = model.dynamics(particles, np.zeros_like(particles))
     lookahead = model.log_likelihood(predictive, y_next)
-    first = _stage_weights(particles, lookahead, "first-stage")
-    idx = systematic_resample(first.weights, n, rng)
+    idx = systematic_resample(_weights(lookahead, "first-stage"), n, rng)
 
+    # Resampling picks particles of positive weight, whose lookahead is finite.
     propagated = model.dynamics(particles[idx], model.dynamics_noise_sampler(rng, n))
-    with np.errstate(invalid="ignore"):
-        # -inf lookahead values produce NaN here; the degenerate fallback
-        # below turns those into uniform weights.
-        log_correction = model.log_likelihood(propagated, y_next) - lookahead[idx]
-    second = _stage_weights(propagated, log_correction, "second-stage")
-    final_idx = systematic_resample(second.weights, n, rng)
+    log_correction = model.log_likelihood(propagated, y_next) - lookahead[idx]
+    final_idx = systematic_resample(_weights(log_correction, "second-stage"), n, rng)
     return propagated[final_idx]
 
 

@@ -39,14 +39,12 @@ class ModelSpec:
         Dimension ``d`` of the latent state.
     obs_dim : int
         Dimension of an observation vector.
-    noise_dim : int
-        Dimension of one dynamics-noise draw.
     dynamics : callable
         ``(state, noise) -> state`` advancing one discrete time step.
-        Broadcasts over leading axes; with a zero noise draw the map is
-        deterministic.
+        Broadcasts over leading axes.  A noise draw has the state's shape;
+        with a zero draw the map is deterministic.
     dynamics_noise_sampler : callable
-        ``(rng, n) -> (n, noise_dim)`` array of independent noise draws.
+        ``(rng, n) -> (n, d)`` array of independent noise draws.
     log_likelihood : callable
         ``(state, observation) -> float`` log-density of the observation
         given the state, up to an additive constant.  For batched states of
@@ -68,7 +66,6 @@ class ModelSpec:
 
     state_dim: int
     obs_dim: int
-    noise_dim: int
     dynamics: Callable[[Array, Array], Array]
     dynamics_noise_sampler: Callable[[Generator, int], Array]
     log_likelihood: Callable[[Array, Array], Array]
@@ -82,12 +79,6 @@ class ModelSpec:
         """Draw one noisy observation of ``state``."""
         mean = np.asarray(self.observation_mean(state), dtype=float)
         return mean + self.obs_noise_std * rng.standard_normal(mean.shape)
-
-    def zero_noise(self, n: int | None = None) -> Array:
-        """Zero dynamics-noise draw, for deterministic propagation."""
-        if n is None:
-            return np.zeros(self.noise_dim)
-        return np.zeros((n, self.noise_dim))
 
     def replace(self, **changes) -> "ModelSpec":
         """Return a copy with the given fields replaced."""
@@ -193,7 +184,6 @@ def make_linear_gaussian(guess_mean: float = 0.0, guess_std: float = 1.0) -> Mod
     return ModelSpec(
         state_dim=1,
         obs_dim=1,
-        noise_dim=1,
         dynamics=dynamics,
         dynamics_noise_sampler=noise,
         initial_prior_sampler=guess_prior,
@@ -284,7 +274,6 @@ def make_double_well(
     return ModelSpec(
         state_dim=1,
         obs_dim=1,
-        noise_dim=1,
         dynamics=dynamics,
         dynamics_noise_sampler=noise,
         initial_prior_sampler=initial,
@@ -396,7 +385,6 @@ def make_lorenz96(
     return ModelSpec(
         state_dim=dim,
         obs_dim=dim,
-        noise_dim=dim,
         dynamics=dynamics,
         dynamics_noise_sampler=noise,
         initial_prior_sampler=guess_prior,

@@ -50,8 +50,6 @@ from numpy.random import Generator
 
 Array = np.ndarray
 
-ACTIVATIONS = ("sigmoid", "relu")
-
 # Per-dimension scales below this are treated as degenerate and left at 1.
 DEGENERATE_SCALE = 1e-8
 
@@ -59,6 +57,9 @@ DEGENERATE_SCALE = 1e-8
 PARAM_DTYPE = np.dtype(np.float32)
 
 _PARAM_DTYPES = frozenset([np.dtype(np.float32), np.dtype(np.float64)])
+
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _sigmoid(t: Array) -> Array:
@@ -94,25 +95,19 @@ class TrainConfig:
         fresh at the start of every epoch.
     batch_size : int
         Minibatch size for Adam updates.
-    learning_rate, adam_beta1, adam_beta2, adam_eps : float
-        Adam optimizer settings.  The learning rate decays to zero over the
-        epochs on a cosine schedule, which removes the endpoint jitter of
-        constant-rate Adam.
+    learning_rate : float
+        Adam's learning rate.  It decays to zero over the epochs on a cosine
+        schedule, which removes the endpoint jitter of constant-rate Adam.
     hidden : tuple of int
-        Hidden-layer widths.  An empty tuple gives a single linear layer.
-    activation : {"sigmoid", "relu"}
-        Hidden-layer activation.
+        Widths of the sigmoid hidden layers.  An empty tuple gives a single
+        linear layer.
     """
 
     smoothing: float = 0.1
     epochs: int = 100
     batch_size: int = 128
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden: tuple[int, ...] = (128, 128)
-    activation: str = "sigmoid"
 
     def __post_init__(self):
         if self.smoothing <= 0:
@@ -121,14 +116,12 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         self.hidden = tuple(int(w) for w in self.hidden)
 
 
 @dataclass
 class ScoreNetwork:
-    """An MLP score estimator with its whitening transform.
+    """A sigmoid MLP score estimator with its whitening transform.
 
     ``weights[l]`` has shape ``(out_l, in_l)`` and ``biases[l]`` shape
     ``(out_l,)``.  Input and output dimensions both equal the state
@@ -144,14 +137,11 @@ class ScoreNetwork:
 
     weights: list[Array]
     biases: list[Array]
-    activation: str
     shift: Array
     scale: Array
     _work: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         self.shift = np.asarray(self.shift, dtype=float)
         self.scale = np.asarray(self.scale, dtype=float)
         if self.weights[0].shape[1] != self.dim or self.weights[-1].shape[0] != self.dim:
@@ -184,13 +174,6 @@ class ScoreNetwork:
             buf = self._work[key] = np.empty((rows, cols), dtype=self.dtype)
         return buf[:rows]
 
-    def _activate(self, t: Array) -> None:
-        """Apply the hidden activation to ``t`` in place."""
-        if self.activation == "sigmoid":
-            _sigmoid(t)
-        else:
-            np.maximum(t, 0.0, out=t)
-
     def _kernel(self, z: Array) -> list[Array]:
         """Forward pass of whitened ``(m, d)`` inputs through the workspace.
 
@@ -209,7 +192,7 @@ class ScoreNetwork:
                 np.matmul(a, w.T, out=out)
             out += b
             if l < last:
-                self._activate(out)
+                _sigmoid(out)
             acts.append(out)
         return acts
 
@@ -241,7 +224,6 @@ class ScoreNetwork:
         return ScoreNetwork(
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            activation=self.activation,
             shift=self.shift.copy(),
             scale=self.scale.copy(),
         )
@@ -358,13 +340,11 @@ def dsm_loss_gradient(
                 np.multiply(delta, w, out=prev)
             else:
                 np.matmul(delta, w, out=prev)
-            if net.activation == "sigmoid":
-                prev *= a
-                one_minus_a = net._buffer(("tmp", l), m, w.shape[1])
-                np.subtract(1.0, a, out=one_minus_a)
-                prev *= one_minus_a
-            else:
-                prev *= a > 0.0
+            # sigmoid' = a * (1 - a)
+            prev *= a
+            one_minus_a = net._buffer(("tmp", l), m, w.shape[1])
+            np.subtract(1.0, a, out=one_minus_a)
+            prev *= one_minus_a
             delta = prev
     return loss, weight_grads, bias_grads
 
@@ -426,13 +406,7 @@ def train_score(
     initial = (init.weights, init.biases) if warm else _init_layers(sizes, rng)
     for view, value in zip(weights + biases, initial[0] + initial[1]):
         view[...] = value
-    net = ScoreNetwork(
-        weights=weights,
-        biases=biases,
-        activation=config.activation,
-        shift=shift,
-        scale=scale,
-    )
+    net = ScoreNetwork(weights=weights, biases=biases, shift=shift, scale=scale)
     if warm and init.dtype == net.dtype:
         # One workspace alive at a time; init gets a new one if it is called.
         # A float64 init's workspace would not fit, so it keeps it.
@@ -444,7 +418,7 @@ def train_score(
     step = np.empty_like(params)
     denom = np.empty_like(params)
     t = 0
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
 
     for epoch in range(config.epochs):
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
@@ -476,7 +450,7 @@ def train_score(
             step *= 1.0 - b2
             second_moment += step
             np.sqrt(second_moment, out=denom)
-            denom += config.adam_eps
+            denom += ADAM_EPS
             np.multiply(first_moment, step_size, out=step)
             step /= denom
             params -= step

@@ -6,7 +6,6 @@ import pytest
 from ssls.assimilator import AssimilationError
 from ssls.baselines import (
     LinearGaussianSpec,
-    WeightedParticles,
     apf_init,
     apf_step,
     enkf_step,
@@ -31,7 +30,6 @@ def flat_model(shift=0.0):
     return ModelSpec(
         state_dim=1,
         obs_dim=1,
-        noise_dim=1,
         dynamics=lambda x, v: x + shift + v,
         dynamics_noise_sampler=lambda rng, n: np.zeros((n, 1)),
         log_likelihood=lambda x, y: np.zeros(np.atleast_2d(x).shape[0]),
@@ -177,20 +175,6 @@ class TestSystematicResample:
         assert idx.min() >= 0 and idx.max() < 8
 
 
-class TestWeightedParticles:
-    def test_valid_construction(self):
-        wp = WeightedParticles(particles=np.zeros((3, 1)), weights=np.full(3, 1 / 3))
-        assert len(wp) == 3
-
-    @pytest.mark.parametrize(
-        "weights",
-        [np.array([0.5, 0.6]), np.array([-0.1, 1.1]), np.array([np.nan, 1.0])],
-    )
-    def test_invalid_weights_rejected(self, weights):
-        with pytest.raises(ValueError):
-            WeightedParticles(particles=np.zeros((2, 1)), weights=weights)
-
-
 class TestApf:
     def test_flat_likelihood_returns_permutation(self):
         """Uniform weights + systematic resampling reproduce every particle
@@ -229,14 +213,22 @@ class TestApf:
             errors[n] = np.mean(errs)
         assert errors[10_000] < errors[100]
 
-    def test_degenerate_weights_fall_back_to_uniform(self):
+    def test_degenerate_weights_raise(self):
         model = flat_model().replace(
             log_likelihood=lambda x, y: np.full(np.atleast_2d(x).shape[0], -np.inf)
         )
         particles = np.random.default_rng(8).standard_normal((8, 1))
-        with pytest.warns(RuntimeWarning, match="degenerate"):
-            out = apf_step(particles, model, np.array([0.0]), np.random.default_rng(9))
-        assert out.shape == particles.shape
+        with pytest.raises(FloatingPointError, match="first-stage weights are degenerate"):
+            apf_step(particles, model, np.array([0.0]), np.random.default_rng(9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_log_weights_that_cannot_be_normalized_raise(self, bad):
+        """One NaN or +inf log-weight leaves no weights to use."""
+        log_w = np.zeros(4)
+        log_w[2] = bad
+        model = flat_model().replace(log_likelihood=lambda x, y: log_w)
+        with pytest.raises(FloatingPointError, match="initial weights are degenerate"):
+            apf_init(np.zeros((4, 1)), model, np.array([0.0]), np.random.default_rng(0))
 
     def test_output_support_is_propagated_particles(self):
         model = make_linear_gaussian()
@@ -280,10 +272,24 @@ class TestDrivers:
         """A finite but huge observation makes the EnKF ensemble std overflow
         at step 2; the run fails there instead of recording inf and NaN."""
         model = make_linear_gaussian()
-        run = simulate_reference(model, 4, rng=np.random.default_rng(14))
-        observations = run.observations.copy()
-        observations[1] = 1e300
-        run = ReferenceRun(states=run.states, observations=observations)
         with pytest.raises(AssimilationError, match="not finite") as excinfo:
-            run_enkf(model, run, 64, seed=2)
+            run_enkf(model, huge_second_observation(model), 64, seed=2)
         assert excinfo.value.step == 2
+
+    def test_unexplained_observation_fails_apf_at_its_step(self):
+        """No particle explains a step-2 observation of 1e300: the squared
+        residual overflows, every look-ahead weight is zero, and the run
+        fails at step 2 instead of going on with uniform weights."""
+        model = make_linear_gaussian()
+        with np.errstate(over="ignore"):
+            with pytest.raises(AssimilationError, match="degenerate") as excinfo:
+                run_apf(model, huge_second_observation(model), 64, seed=2)
+        assert excinfo.value.step == 2
+
+
+def huge_second_observation(model):
+    """A four-step reference run whose second observation is 1e300."""
+    run = simulate_reference(model, 4, rng=np.random.default_rng(14))
+    observations = run.observations.copy()
+    observations[1] = 1e300
+    return ReferenceRun(states=run.states, observations=observations)

@@ -183,9 +183,41 @@ def test_dynamics_deterministic_given_zero_noise(name):
     model = ALL_MODELS[name]()
     rng = np.random.default_rng(1)
     x = rng.normal(size=model.state_dim)
-    a = model.dynamics(x, model.zero_noise())
-    b = model.dynamics(x, model.zero_noise())
+    a = model.dynamics(x, np.zeros_like(x))
+    b = model.dynamics(x, np.zeros_like(x))
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(list(ALL_MODELS)),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_callables_treat_each_row_as_one_state(name, n, seed):
+    """Every state callable gives on an ``(n, d)`` batch what it gives on
+    each ``(d,)`` row; the observation is shared, as in the filters."""
+    model = ALL_MODELS[name]()
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=1.5, size=(n, model.state_dim))
+    v = rng.normal(size=x.shape)
+    y = rng.normal(size=model.obs_dim)
+    batched = {
+        "dynamics": model.dynamics(x, v),
+        "observation_mean": model.observation_mean(x),
+        "log_likelihood": model.log_likelihood(x, y),
+        "log_likelihood_grad": model.log_likelihood_grad(x, y),
+    }
+    for i in range(n):
+        rows = {
+            "dynamics": model.dynamics(x[i], v[i]),
+            "observation_mean": model.observation_mean(x[i]),
+            "log_likelihood": model.log_likelihood(x[i], y),
+            "log_likelihood_grad": model.log_likelihood_grad(x[i], y),
+        }
+        for key, row in rows.items():
+            assert np.shape(row) == np.shape(batched[key][i]), key
+            assert np.array_equal(row, batched[key][i]), key
 
 
 class TestSimulateReference:

@@ -1,6 +1,10 @@
-"""The package needs only NumPy at run time; SciPy is a test oracle."""
+"""Packaging: the package needs only NumPy at run time (SciPy is a test
+oracle), and every name that the demos and the README use exists."""
 
+import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +39,47 @@ def test_scipy_is_not_a_runtime_dependency():
     test_extra = project["optional-dependencies"]["test"]
     assert any(dep.startswith("scipy") for dep in test_extra)
     assert any(dep.startswith("hypothesis") for dep in test_extra)
+
+
+def _python_sources():
+    """Each demo script, and each ``python`` code block of the README."""
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        yield path.name, path.read_text()
+    readme = (ROOT / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        yield f"README.md block {i + 1}", block
+
+
+def _resolve(dotted: str):
+    """The object that a dotted ``ssls...`` name refers to."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            obj = importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+def _documented_names():
+    for where, source in _python_sources():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ssls":
+                for alias in node.names:
+                    yield where, f"{node.module}.{alias.name}"
+    readme = (ROOT / "README.md").read_text()
+    for dotted in re.findall(r"`(ssls(?:\.\w+)+)", readme):
+        yield "README.md", dotted
+
+
+def test_demo_and_readme_names_exist():
+    names = list(_documented_names())
+    assert len(names) > 20
+    missing = []
+    for where, dotted in names:
+        try:
+            _resolve(dotted)
+        except (ImportError, AttributeError):
+            missing.append(f"{where}: {dotted}")
+    assert missing == []

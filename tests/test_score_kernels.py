@@ -32,7 +32,6 @@ from ssls.score_net import (
 
 DIMS = st.sampled_from([1, 3, 20])
 HIDDEN = st.sampled_from([(), (4,), (128, 128)])
-ACTIVATION = st.sampled_from(["sigmoid", "relu"])
 DTYPE = st.sampled_from([np.float64, np.float32])
 ROWS = st.sampled_from([1, 116, 128, 500])
 SEEDS = st.integers(0, 2**32 - 1)
@@ -44,20 +43,14 @@ KERNEL_SETTINGS = settings(
 # -- reference implementation -------------------------------------------------
 
 
-def ref_activate(t, activation):
-    return _sigmoid(t.copy()) if activation == "sigmoid" else np.maximum(t, 0.0)
-
-
 def ref_forward_cached(net, z):
     z = np.asarray(z, dtype=net.dtype)
-    acts, pres = [z], []
+    acts = [z]
     a = z
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        pre = a @ w.T + b
-        pres.append(pre)
-        a = ref_activate(pre, net.activation)
+        a = _sigmoid(a @ w.T + b)
         acts.append(a)
-    return a @ net.weights[-1].T + net.biases[-1], pres, acts
+    return a @ net.weights[-1].T + net.biases[-1], acts
 
 
 def ref_forward(net, x):
@@ -69,7 +62,7 @@ def ref_loss_gradient(net, batch, smoothing, noise):
     batch = np.asarray(batch, dtype=net.dtype)
     noise = np.asarray(noise, dtype=net.dtype)
     m = batch.shape[0]
-    out, pres, acts = ref_forward_cached(net, batch + smoothing * noise)
+    out, acts = ref_forward_cached(net, batch + smoothing * noise)
     resid = smoothing * out + noise
     loss = float(np.mean(np.sum(resid**2, axis=1)))
     n_layers = len(net.weights)
@@ -80,12 +73,8 @@ def ref_loss_gradient(net, batch, smoothing, noise):
         weight_grads[l] = delta.T @ acts[l]
         bias_grads[l] = delta.sum(axis=0)
         if l > 0:
-            delta = delta @ net.weights[l]
-            if net.activation == "sigmoid":
-                a = acts[l]
-                delta = delta * a * (1.0 - a)
-            else:
-                delta = delta * (pres[l - 1] > 0.0)
+            a = acts[l]
+            delta = (delta @ net.weights[l]) * a * (1.0 - a)
     return loss, weight_grads, bias_grads
 
 
@@ -99,12 +88,12 @@ def ref_train(ensemble, config, init, rng):
         weights, biases = _init_layers(sizes, rng)
     weights = [w.astype(PARAM_DTYPE) for w in weights]
     biases = [b.astype(PARAM_DTYPE) for b in biases]
-    net = ScoreNetwork(weights, biases, config.activation, shift, scale)
+    net = ScoreNetwork(weights, biases, shift, scale)
     params = net.weights + net.biases
     first_moment = [np.zeros_like(p) for p in params]
     second_moment = [np.zeros_like(p) for p in params]
     t = 0
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8  # Adam's standard settings
     for epoch in range(config.epochs):
         lr = config.learning_rate * 0.5 * (1.0 + np.cos(np.pi * epoch / config.epochs))
         noise = rng.standard_normal((n, d))
@@ -122,17 +111,16 @@ def ref_train(ensemble, config, init, rng):
                 m2 *= b2
                 m2 += (1.0 - b2) * g**2
                 # a Python float step size keeps the update in p's dtype
-                p -= float(lr * correction) * m1 / (np.sqrt(m2) + config.adam_eps)
+                p -= float(lr * correction) * m1 / (np.sqrt(m2) + eps)
     return net
 
 
-def random_network(d, hidden, activation, seed, dtype=np.float64):
+def random_network(d, hidden, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     sizes = (d, *hidden, d)
     return ScoreNetwork(
         weights=[rng.normal(size=(o, i)).astype(dtype) for i, o in zip(sizes[:-1], sizes[1:])],
         biases=[rng.normal(size=o).astype(dtype) for o in sizes[1:]],
-        activation=activation,
         shift=rng.normal(size=d),
         scale=rng.uniform(0.5, 2.0, size=d),
     )
@@ -150,9 +138,9 @@ def assert_all_equal(got, want):
 
 
 @KERNEL_SETTINGS
-@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, dtype=DTYPE, seed=SEEDS)
-def test_forward_matches_reference(d, hidden, activation, rows, dtype, seed):
-    net = random_network(d, hidden, activation, seed, dtype)
+@given(d=DIMS, hidden=HIDDEN, rows=ROWS, dtype=DTYPE, seed=SEEDS)
+def test_forward_matches_reference(d, hidden, rows, dtype, seed):
+    net = random_network(d, hidden, seed, dtype)
     x = np.random.default_rng(seed + 1).normal(size=(rows, d))
     y = net.forward(x)
     assert y.dtype == np.float64
@@ -162,9 +150,9 @@ def test_forward_matches_reference(d, hidden, activation, rows, dtype, seed):
 
 
 @KERNEL_SETTINGS
-@given(d=DIMS, hidden=HIDDEN, activation=ACTIVATION, rows=ROWS, dtype=DTYPE, seed=SEEDS)
-def test_loss_gradient_matches_reference(d, hidden, activation, rows, dtype, seed):
-    net = random_network(d, hidden, activation, seed, dtype)
+@given(d=DIMS, hidden=HIDDEN, rows=ROWS, dtype=DTYPE, seed=SEEDS)
+def test_loss_gradient_matches_reference(d, hidden, rows, dtype, seed):
+    net = random_network(d, hidden, seed, dtype)
     rng = np.random.default_rng(seed + 1)
     batch = rng.normal(size=(rows, d))
     noise = rng.normal(size=(rows, d))
@@ -177,7 +165,7 @@ def test_loss_gradient_matches_reference(d, hidden, activation, rows, dtype, see
 
 
 def test_gradient_written_into_flat_out():
-    net = random_network(3, (4,), "sigmoid", 0)
+    net = random_network(3, (4,), 0)
     rng = np.random.default_rng(1)
     batch, noise = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     out = np.full(sum(w.size + b.size for w, b in zip(net.weights, net.biases)), np.nan)
@@ -191,14 +179,12 @@ def test_gradient_written_into_flat_out():
 @given(
     d=DIMS,
     hidden=HIDDEN,
-    activation=ACTIVATION,
     n=st.sampled_from([2, 116, 500]),
     warm=st.booleans(),
     seed=SEEDS,
 )
-def test_training_matches_reference(d, hidden, activation, n, warm, seed):
-    config = TrainConfig(epochs=2, batch_size=128, hidden=hidden, activation=activation,
-                         learning_rate=1e-2)
+def test_training_matches_reference(d, hidden, n, warm, seed):
+    config = TrainConfig(epochs=2, batch_size=128, hidden=hidden, learning_rate=1e-2)
     ensemble = np.random.default_rng(seed).normal(size=(n, d))
     init = None
     if warm:
@@ -215,20 +201,18 @@ def test_training_matches_reference(d, hidden, activation, n, warm, seed):
     assert np.array_equal(got.scale, want.scale)
 
 
-@pytest.mark.parametrize("activation", ["sigmoid", "relu"])
 @pytest.mark.parametrize("d", [1, 3, 20])
-def test_float32_agrees_with_float64(d, activation):
+def test_float32_agrees_with_float64(d):
     """A trained float32 network and its float64 twin, same weights, agree
     within 1e-5 of the largest output, inside the ensemble and beyond it."""
     rng = np.random.default_rng(d)
     spread = rng.uniform(0.1, 10.0, size=d)
     ensemble = 5.0 * rng.normal(size=d) + spread * rng.normal(size=(500, d))
-    net = train_score(ensemble, TrainConfig(epochs=20, activation=activation), rng=rng)
+    net = train_score(ensemble, TrainConfig(epochs=20), rng=rng)
     assert net.dtype == np.float32
     twin = ScoreNetwork(
         weights=[w.astype(np.float64) for w in net.weights],
         biases=[b.astype(np.float64) for b in net.biases],
-        activation=activation,
         shift=net.shift,
         scale=net.scale,
     )
@@ -242,7 +226,7 @@ def test_float32_agrees_with_float64(d, activation):
 
 
 def test_forward_results_do_not_alias():
-    net = random_network(3, (4,), "sigmoid", 2)
+    net = random_network(3, (4,), 2)
     rng = np.random.default_rng(3)
     x1, x2 = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
     first = net.forward(x1)
@@ -256,7 +240,7 @@ def test_forward_results_do_not_alias():
 
 
 def test_in_place_weight_change_is_seen():
-    net = random_network(1, (4,), "sigmoid", 4)
+    net = random_network(1, (4,), 4)
     x = np.random.default_rng(5).normal(size=(6, 1))
     before = net.forward(x)
     net.weights[-1][:] *= 2.0
@@ -267,7 +251,7 @@ def test_in_place_weight_change_is_seen():
 
 
 def test_copy_gets_its_own_workspace():
-    net = random_network(3, (4,), "sigmoid", 6)
+    net = random_network(3, (4,), 6)
     x = np.random.default_rng(7).normal(size=(9, 3))
     net.forward(x)
     twin = net.copy()
@@ -281,7 +265,7 @@ def test_copy_gets_its_own_workspace():
 def test_workspace_kept_out_of_repr_and_equality():
     field = {f.name: f for f in dataclasses.fields(ScoreNetwork)}["_work"]
     assert not field.repr and not field.compare and not field.init
-    net = random_network(1, (), "relu", 8)
+    net = random_network(1, (), 8)
     net.forward(np.zeros((3, 1)))
     assert "_work" not in repr(net)
 
@@ -303,7 +287,7 @@ def test_warm_start_from_float64_network():
     rng = np.random.default_rng(12)
     ensemble = rng.normal(size=(64, 2))
     config = TrainConfig(epochs=1, hidden=(8,))
-    init = random_network(2, (8,), "sigmoid", 13)
+    init = random_network(2, (8,), 13)
     init.forward(ensemble)
     work = init._work
     got = train_score(ensemble, config, init=init, rng=np.random.default_rng(14))
@@ -315,7 +299,7 @@ def test_warm_start_from_float64_network():
 
 
 def test_single_point_forward_keeps_shape():
-    net = random_network(3, (4,), "sigmoid", 10)
+    net = random_network(3, (4,), 10)
     x = np.random.default_rng(11).normal(size=3)
     y = net.forward(x)
     assert y.shape == (3,)

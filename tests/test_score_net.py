@@ -14,34 +14,31 @@ from ssls.score_net import (
 )
 
 
-def zero_network(d, hidden=(4,), activation="sigmoid"):
+def zero_network(d, hidden=(4,)):
     sizes = (d, *hidden, d)
     return ScoreNetwork(
         weights=[np.zeros((o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
         biases=[np.zeros(o) for o in sizes[1:]],
-        activation=activation,
         shift=np.zeros(d),
         scale=np.ones(d),
     )
 
 
-def random_network(d, hidden, rng, activation="sigmoid", scale=None, shift=None):
+def random_network(d, hidden, rng, scale=None, shift=None):
     sizes = (d, *hidden, d)
     return ScoreNetwork(
         weights=[rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
         biases=[rng.normal(size=o) for o in sizes[1:]],
-        activation=activation,
         shift=np.zeros(d) if shift is None else np.asarray(shift, dtype=float),
         scale=np.ones(d) if scale is None else np.asarray(scale, dtype=float),
     )
 
 
 def negation_network():
-    """Exact s(z) = -z in one dimension via relu(z) - relu(-z) = z."""
+    """Exact s(z) = -z in one dimension: a single linear layer."""
     return ScoreNetwork(
-        weights=[np.array([[1.0], [-1.0]]), np.array([[-1.0, 1.0]])],
-        biases=[np.zeros(2), np.zeros(1)],
-        activation="relu",
+        weights=[np.array([[-1.0]])],
+        biases=[np.zeros(1)],
         shift=np.zeros(1),
         scale=np.ones(1),
     )
@@ -62,7 +59,6 @@ class TestParameterDtypes:
             ScoreNetwork(
                 weights=[np.zeros((4, 2), weight_dtype), np.zeros((2, 4), weight_dtype)],
                 biases=[np.zeros(4, bias_dtype), np.zeros(2, bias_dtype)],
-                activation="sigmoid",
                 shift=np.zeros(2),
                 scale=np.ones(2),
             )
@@ -73,7 +69,6 @@ class TestParameterDtypes:
             ScoreNetwork(
                 weights=net.weights[:-1] + [net.weights[-1].astype(np.float32)],
                 biases=net.biases,
-                activation="sigmoid",
                 shift=net.shift,
                 scale=net.scale,
             )
@@ -219,7 +214,6 @@ class TestDsmLossGradient:
         net = ScoreNetwork(
             weights=[w.copy()],
             biases=[np.zeros(2)],
-            activation="sigmoid",
             shift=np.zeros(2),
             scale=np.ones(2),
         )
@@ -358,7 +352,6 @@ class TestTrainConfigValidation:
             {"smoothing": 0.0},
             {"epochs": 0},
             {"batch_size": 0},
-            {"activation": "tanh"},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):
