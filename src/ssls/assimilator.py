@@ -7,9 +7,8 @@ Monte Carlo with the fitted score plus the likelihood gradient of the new
 observation (update).  The first observation is assimilated the same way,
 with the guess prior ensemble standing in for the prediction.
 
-Score networks are warm-started from the previous step by default, which
-cuts training cost substantially; the first step always trains from
-scratch.
+Each step's score network is warm-started from the previous step's, which
+cuts training cost substantially; the first step trains from scratch.
 
 :func:`run_filter` is the recursion that SSLS and the EnKF and APF
 baselines share: seeding, the prior draw, one update per observation, the
@@ -55,9 +54,6 @@ class SslsConfig:
         Score-matching hyper-parameters, used at every step.
     plan : AnnealPlan
         Annealed Langevin settings, used at every update.
-    warm_start : bool
-        Initialize each step's score network from the previous step's
-        weights.
     init_epochs : int, optional
         Epoch budget for the first step, which always trains from scratch
         and typically needs more passes than the warm-started steps.
@@ -72,7 +68,6 @@ class SslsConfig:
     ensemble_size: int = 500
     train: TrainConfig = field(default_factory=TrainConfig)
     plan: AnnealPlan = field(default_factory=AnnealPlan)
-    warm_start: bool = True
     init_epochs: int | None = None
     seed: int = 0
     store_ensembles: bool = False
@@ -243,9 +238,9 @@ def assimilate(
     """Sequentially assimilate every observation of a reference run with SSLS.
 
     Step 1 is :func:`initial_update`; each later step predicts, fits a score
-    network (warm-started from the previous step's when ``cfg.warm_start``)
-    and runs the annealed Langevin update.  :func:`run_filter` drives the
-    steps, so its input checks, records and errors apply.
+    network warm-started from the previous step's, and runs the annealed
+    Langevin update.  :func:`run_filter` drives the steps, so its input
+    checks, records and errors apply.
     """
     net = None  # the previous step's network
 
@@ -257,8 +252,7 @@ def assimilate(
     def step(ensemble, model, y, rng):
         nonlocal net
         predicted = predict(ensemble, model, rng)
-        warm = net if cfg.warm_start else None
-        posterior, net = _fit_and_update(predicted, model, y, cfg.train, warm, cfg.plan, rng)
+        posterior, net = _fit_and_update(predicted, model, y, cfg.train, net, cfg.plan, rng)
         return posterior
 
     return run_filter(model, run, init, step, cfg.ensemble_size, cfg.seed, cfg.store_ensembles)

@@ -19,42 +19,61 @@ Config schema (JSON object; unknown keys are rejected)::
                   | "double_well_nonlinear" | "lorenz96",
       "method":  "ssls" | "enkf" | "apf" | "kalman",   # run only
       "methods": [ ... ],                               # compare only
-      "ensemble_size": int,        # >= 2 for ensemble methods
+      "ensemble_size": int,        # >= 2
       "steps": int,
-      "seed": int,
+      "seed": int,                 # >= 0
       "mutation_period": int|null, # sign flips of the reference state
       "out_dir": str,
-      "model": {                   # optional per-experiment parameters
-        "beta": float, "dt": float, "obs_noise_std": float,
-        "gamma": float, "dim": int, "forcing": float,
-        "process_noise_std": float, "init_prior_shift": float
-      },
-      "ssls": {                    # optional sampler/training parameters
-        "smoothing": float, "epochs": int,
-        "init_epochs": int,        # epochs of the first, cold-started step
-        "batch_size": int, "learning_rate": float, "warm_start": bool,
-        "n_temperatures": int, "n_inner": int, "step_size": float,
-        "clip_norm": float|null
+      "model": {...},              # the model factory's arguments, see below
+      "ssls": {                    # SslsConfig, its TrainConfig and AnnealPlan
+        "smoothing": float, "epochs": int, "batch_size": int,
+        "learning_rate": float, "n_temperatures": int, "n_inner": int,
+        "step_size": float, "clip_norm": float|null,
+        "init_epochs": int|null    # epochs of the first, cold-started step
       }
     }
 
-A ``float`` field also takes an integer; JSON booleans are not numbers.
+The ``model`` section takes only the arguments of ``make_linear_gaussian``,
+``make_double_well`` or ``make_lorenz96`` that its experiment uses, and the
+factory's defaults fill in the rest; ``init_prior_shift`` (float) moves the
+guess prior of the ensemble methods::
+
+    linear_gaussian        init_prior_shift
+    double_well_linear     beta, dt, obs_noise_std, init_prior_shift
+    double_well_nonlinear  beta, dt, obs_noise_std, gamma, init_prior_shift
+    lorenz96               dim, forcing, dt, process_noise_std, obs_noise_std,
+                           init_prior_shift
+
+A field's kind, and whether it takes ``null``, is the annotation of the
+library parameter it sets.  An ``int`` field takes only a JSON integer, a
+``float`` field an integer or a finite real; JSON booleans are not numbers.
+``null`` means no sign flips for ``mutation_period``, no drift clipping for
+``clip_norm``, ``epochs`` for ``init_epochs``, and 0.1 (linear) or 0.2
+(nonlinear) for the double wells' ``obs_noise_std``; no other field takes it.
 
 ``method: "kalman"`` is the exact-posterior oracle and is only valid for
 the linear-Gaussian experiment; it always uses the true reference prior, so
 ``init_prior_shift`` affects only the ensemble methods.  Floats in the CSV
 files carry 17 significant digits and round-trip exactly.
 
-The exit status is 1 for an invalid config and 2 when a filter run fails
-(SSLS, EnKF or APF); the message on standard error names the failing step.
+The exit status is 1 for an invalid config, found before any simulation: a
+malformed file, an unknown or unused field, a value of the wrong kind, or
+one that the model factory, ``TrainConfig``, ``AnnealPlan``,
+``make_schedule`` or ``SslsConfig`` rejects.  It is 2 when a filter run
+fails (SSLS, EnKF or APF); the message on standard error names the failing
+step.
 """
 
 import argparse
 import csv
+import dataclasses
+import functools
+import inspect
 import json
+import math
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +92,6 @@ from .models import (
 from .sampler import AnnealPlan, make_schedule
 from .score_net import TrainConfig
 
-EXPERIMENTS = ("linear_gaussian", "double_well_linear", "double_well_nonlinear", "lorenz96")
 METHODS = ("ssls", "enkf", "apf", "kalman")
 
 
@@ -81,99 +99,91 @@ class ConfigError(ValueError):
     """A config file is missing, malformed, or violates a constraint."""
 
 
-@dataclass
-class ModelParams:
-    """Experiment-specific model parameters with standard benchmark defaults.
-
-    The config file's ``model`` section is parsed by these annotations.
-    """
-
-    beta: float = 0.3
-    dt: float | None = None
-    obs_noise_std: float | None = None
-    gamma: float = 0.6
-    dim: int = 20
-    forcing: float = 8.0
-    process_noise_std: float = float(np.sqrt(0.1))
-    init_prior_shift: float = 0.0
+def _shift_prior(model: ModelSpec, init_prior_shift: float) -> ModelSpec:
+    """``model`` with its guess prior moved by ``init_prior_shift``."""
+    base = model.initial_prior_sampler
+    return model.replace(initial_prior_sampler=lambda rng, n: base(rng, n) + init_prior_shift)
 
 
-@dataclass
-class SslsParams:
-    """Flat view of the SSLS knobs exposed through the config file.
+# Each experiment's model factory and the parameters of it that the `model`
+# section may set, besides `init_prior_shift`.
+_MODELS = {
+    "linear_gaussian": (make_linear_gaussian, ()),
+    "double_well_linear": (
+        functools.partial(make_double_well, measurement="linear"),
+        ("beta", "dt", "obs_noise_std"),
+    ),
+    "double_well_nonlinear": (
+        functools.partial(make_double_well, measurement="nonlinear"),
+        ("beta", "dt", "obs_noise_std", "gamma"),
+    ),
+    "lorenz96": (make_lorenz96, ("dim", "forcing", "dt", "process_noise_std", "obs_noise_std")),
+}
+EXPERIMENTS = tuple(_MODELS)
 
-    The config file's ``ssls`` section is parsed by these annotations.
-    """
+# The `ssls` section's fields, keyed by the library callable whose parameter
+# of the same name each one sets.
+_SSLS_FIELDS = {
+    TrainConfig: ("smoothing", "epochs", "batch_size", "learning_rate"),
+    make_schedule: ("n_temperatures",),
+    AnnealPlan: ("n_inner", "step_size", "clip_norm"),
+    SslsConfig: ("init_epochs",),
+}
 
-    smoothing: float = 0.1
-    epochs: int = 60
-    init_epochs: int = 250
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    warm_start: bool = True
-    n_temperatures: int = 10
-    n_inner: int = 20
-    step_size: float = 0.01
-    clip_norm: float | None = 100.0
+# The defaults that differ from the library's, per experiment.
+_SSLS_DEFAULTS = {"epochs": 60, "init_epochs": 250}
+_DOUBLE_WELL_DEFAULTS = {
+    "steps": 100, "mutation_period": 20, "ssls": {**_SSLS_DEFAULTS, "step_size": 0.005}
+}
+_EXPERIMENT_DEFAULTS: dict[str, dict] = {
+    "linear_gaussian": {"steps": 10, "ssls": _SSLS_DEFAULTS},
+    "double_well_linear": _DOUBLE_WELL_DEFAULTS,
+    "double_well_nonlinear": _DOUBLE_WELL_DEFAULTS,
+    "lorenz96": {"steps": 50, "ssls": {**_SSLS_DEFAULTS, "epochs": 50, "batch_size": 100}},
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """A fully validated experiment description, built by :func:`load_config`."""
+    """A fully validated experiment description, built by :func:`load_config`.
+
+    ``model`` and ``ssls`` are built from their config sections, and
+    ``ssls.ensemble_size`` is ``ensemble_size``.  Each SSLS run replaces
+    ``ssls.seed`` with its own seed.
+    """
 
     experiment: str
     methods: list[str]
     ensemble_size: int
+    model: ModelSpec
+    ssls: SslsConfig
     steps: int
-    seed: int
-    out_dir: str
+    seed: int = 0
+    out_dir: str = "results"
     mutation_period: int | None = None
-    model: ModelParams = field(default_factory=ModelParams)
-    ssls: SslsParams = field(default_factory=SslsParams)
 
     def __post_init__(self):
         for m in self.methods:
             if m not in METHODS:
-                raise ConfigError(
-                    f"field 'method': unknown method {m!r}; choose one of {METHODS}"
-                )
+                raise ConfigError(f"field 'method': unknown method {m!r}; choose one of {METHODS}")
             if m == "kalman" and self.experiment != "linear_gaussian":
                 raise ConfigError(
-                    "field 'method': 'kalman' is exact only for the "
-                    "linear_gaussian experiment"
+                    "field 'method': 'kalman' is exact only for the linear_gaussian experiment"
                 )
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("field 'methods': duplicate method names")
-        if any(m != "kalman" for m in self.methods) and self.ensemble_size < 2:
-            raise ConfigError("field 'ensemble_size': ensemble methods need at least 2")
         if self.steps < 1:
             raise ConfigError("field 'steps': must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("field 'seed': must be non-negative")
         if self.mutation_period is not None and self.mutation_period < 1:
             raise ConfigError("field 'mutation_period': must be at least 1")
 
 
-# Per-experiment defaults, over the dataclass defaults and _TOP_LEVEL_DEFAULTS.
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "linear_gaussian": {"steps": 10},
-    "double_well_linear": {
-        "steps": 100,
-        "mutation_period": 20,
-        "model": {"dt": 0.1, "obs_noise_std": 0.1},
-        "ssls": {"step_size": 0.005},
-    },
-    "double_well_nonlinear": {
-        "steps": 100,
-        "mutation_period": 20,
-        "model": {"dt": 0.1, "obs_noise_std": 0.2},
-        "ssls": {"step_size": 0.005},
-    },
-    "lorenz96": {
-        "steps": 50,
-        "model": {"dt": 0.05, "obs_noise_std": 0.5},
-        "ssls": {"epochs": 50, "batch_size": 100},
-    },
-}
-_TOP_LEVEL_DEFAULTS = {"ensemble_size": 500, "seed": 0, "mutation_period": None}
+@functools.cache
+def _annotations(f) -> dict:
+    """The evaluated annotations of ``f``'s parameters, by name."""
+    return {n: p.annotation for n, p in inspect.signature(f, eval_str=True).parameters.items()}
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -182,39 +192,46 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _typed(values: dict, cls, where: str) -> dict:
-    """``values`` checked against the annotations of ``cls``'s fields.
+def _typed(values: dict, kinds: dict, where: str) -> dict:
+    """``values`` checked against the annotations ``kinds``.
 
-    A field's annotation gives its kind (``int``, ``float`` or ``bool``) and
+    An annotation gives a field's kind (``int``, ``float`` or ``str``) and
     whether it may be ``null`` (``| None``).  A float field also takes an
-    integer; JSON booleans are not numbers.  The annotations are read as
-    evaluated types, so this module must not postpone their evaluation.
+    integer, but not an infinity or NaN; JSON booleans are not numbers.
     """
-    hints = {f.name: f.type for f in fields(cls)}
     typed = {}
     for key, value in values.items():
-        kind, *rest = typing.get_args(hints[key]) or (hints[key],)
+        kind, *rest = typing.get_args(kinds[key]) or (kinds[key],)
         if value is None and type(None) in rest:
             typed[key] = None
             continue
         accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        ok = isinstance(value, accepted) and not isinstance(value, bool)
+        if not ok or (kind is float and not math.isfinite(value)):
             raise ConfigError(f"{where} field {key!r}: expected {kind.__name__}, got {value!r}")
         typed[key] = kind(value)
     return typed
 
 
-def _section(raw: dict, name: str, cls, defaults: dict):
-    """Build ``cls`` from section ``name`` over the experiment's defaults."""
+def _section(raw: dict, name: str, fields: dict, defaults: dict) -> dict:
+    """Section ``name`` of ``raw`` over ``defaults``, as keyword arguments.
+
+    ``fields`` maps each callable to the parameters of it that the section
+    may set; their annotations give the kinds.  The result maps each
+    callable to the arguments that the section gives it.
+    """
+    kinds = {n: _annotations(f)[n] for f, names in fields.items() for n in names}
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"field {name!r}: must be an object")
-    _check_keys(section, cls.__dataclass_fields__, f"{name!r}")
-    return cls(**_typed({**defaults.get(name, {}), **section}, cls, f"{name!r}"))
+    _check_keys(section, kinds, f"{name!r}")
+    values = _typed({**defaults, **section}, kinds, f"{name!r}")
+    return {f: {n: values[n] for n in names if n in values} for f, names in fields.items()}
 
 
 def load_config(path, compare: bool = False) -> ExperimentConfig:
-    """Parse and validate a JSON config file.
+    """Parse and validate a JSON config file, and build its model and SSLS
+    settings.
 
     ``compare=True`` requires a ``methods`` list with at least two entries;
     otherwise a single ``method`` is required.
@@ -254,81 +271,39 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
             raise ConfigError("field 'method' is required")
         methods = [str(raw["method"])]
 
-    top = {**_TOP_LEVEL_DEFAULTS, **defaults, **raw}
-    scalars = ("ensemble_size", "steps", "seed", "mutation_period")
-    return ExperimentConfig(
-        experiment=experiment,
-        methods=methods,
-        out_dir=str(raw.get("out_dir", "results")),
-        model=_section(raw, "model", ModelParams, defaults),
-        ssls=_section(raw, "ssls", SslsParams, defaults),
-        **_typed({k: top[k] for k in scalars}, ExperimentConfig, "top level"),
-    )
-
-
-def build_model(cfg: ExperimentConfig) -> ModelSpec:
-    """Instantiate the configured state-space model."""
-    p = cfg.model
-    if cfg.experiment == "linear_gaussian":
-        return make_linear_gaussian(guess_mean=p.init_prior_shift, guess_std=1.0)
-    if cfg.experiment in ("double_well_linear", "double_well_nonlinear"):
-        kind = "linear" if cfg.experiment == "double_well_linear" else "nonlinear"
-        model = make_double_well(
-            beta=p.beta,
-            dt=p.dt if p.dt is not None else 0.1,
-            measurement=kind,
-            obs_noise_std=p.obs_noise_std,
-            gamma=p.gamma,
-        )
-    else:
-        model = make_lorenz96(
-            dim=p.dim,
-            forcing=p.forcing,
-            dt=p.dt if p.dt is not None else 0.05,
-            process_noise_std=p.process_noise_std,
-            obs_noise_std=p.obs_noise_std if p.obs_noise_std is not None else 0.5,
-        )
-    if p.init_prior_shift != 0.0:
-        base = model.initial_prior_sampler
-        shift = p.init_prior_shift
-        model = model.replace(initial_prior_sampler=lambda rng, n: base(rng, n) + shift)
-    return model
-
-
-def build_ssls_config(cfg: ExperimentConfig, seed: int) -> SslsConfig:
-    s = cfg.ssls
-    return SslsConfig(
-        ensemble_size=cfg.ensemble_size,
-        train=TrainConfig(
-            smoothing=s.smoothing,
-            epochs=s.epochs,
-            batch_size=s.batch_size,
-            learning_rate=s.learning_rate,
-        ),
-        plan=AnnealPlan(
-            betas=make_schedule(s.n_temperatures),
-            n_inner=s.n_inner,
-            step_size=s.step_size,
-            clip_norm=s.clip_norm,
-        ),
-        warm_start=s.warm_start,
-        init_epochs=s.init_epochs,
-        seed=seed,
-    )
+    scalars = ("ensemble_size", "steps", "seed", "mutation_period", "out_dir")
+    top = {k: v for k, v in {**defaults, **raw}.items() if k in scalars}
+    top = _typed(top, _annotations(ExperimentConfig), "top level")
+    # SslsConfig holds the ensemble size, and its default when none is given.
+    size = {"ensemble_size": top.pop("ensemble_size")} if "ensemble_size" in top else {}
+    factory, names = _MODELS[experiment]
+    model_args = _section(raw, "model", {factory: names, _shift_prior: ["init_prior_shift"]}, {})
+    args = _section(raw, "ssls", _SSLS_FIELDS, defaults["ssls"])
+    try:  # the library's own checks are the range checks
+        model = factory(**model_args[factory])
+        if args[make_schedule]:
+            args[AnnealPlan]["betas"] = make_schedule(**args[make_schedule])
+        train, plan = TrainConfig(**args[TrainConfig]), AnnealPlan(**args[AnnealPlan])
+        ssls = SslsConfig(train=train, plan=plan, **args[SslsConfig], **size)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if model_args[_shift_prior]:
+        model = _shift_prior(model, **model_args[_shift_prior])
+    return ExperimentConfig(experiment=experiment, methods=methods,
+                            ensemble_size=ssls.ensemble_size, model=model, ssls=ssls, **top)
 
 
 def run_method(
-    method: str, model: ModelSpec, run: ReferenceRun, cfg: ExperimentConfig, seed: int
+    method: str, run: ReferenceRun, cfg: ExperimentConfig, seed: int
 ) -> list[AssimilationRecord]:
     """Run one filtering method over a shared reference run."""
     if method == "ssls":
-        return assimilate(model, run, build_ssls_config(cfg, seed))
+        return assimilate(cfg.model, run, dataclasses.replace(cfg.ssls, seed=seed))
     if method == "enkf":
-        return baselines.run_enkf(model, run, cfg.ensemble_size, seed=seed)
+        return baselines.run_enkf(cfg.model, run, cfg.ensemble_size, seed=seed)
     if method == "apf":
-        return baselines.run_apf(model, run, cfg.ensemble_size, seed=seed)
-    if method == "kalman":
-        return baselines.run_kalman(baselines.LinearGaussianSpec(**LINEAR_GAUSSIAN), run)
+        return baselines.run_apf(cfg.model, run, cfg.ensemble_size, seed=seed)
+    return baselines.run_kalman(baselines.LinearGaussianSpec(**LINEAR_GAUSSIAN), run)
 
 
 def _fmt(x) -> str:
@@ -411,14 +386,13 @@ def write_comparison_csv(path: Path, per_method: dict[str, list[AssimilationReco
 def _prepare(config_path, seed, out, compare: bool):
     cfg = load_config(config_path, compare=compare)
     if seed is not None:
-        cfg.seed = int(seed)
+        cfg = dataclasses.replace(cfg, seed=int(seed))  # checks the seed again
     if out is not None:
         cfg.out_dir = str(out)
-    model = build_model(cfg)
     root = np.random.SeedSequence(cfg.seed)
     ref_child, method_root = root.spawn(2)
     run = simulate_reference(
-        model,
+        cfg.model,
         cfg.steps,
         mutation_period=cfg.mutation_period,
         rng=np.random.default_rng(ref_child),
@@ -427,7 +401,7 @@ def _prepare(config_path, seed, out, compare: bool):
                     method_root.spawn(len(cfg.methods))]
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, model, run, method_seeds, out_dir
+    return cfg, run, method_seeds, out_dir
 
 
 def run_experiment(config_path, seed: int | None = None, out: str | None = None) -> Path:
@@ -436,9 +410,9 @@ def run_experiment(config_path, seed: int | None = None, out: str | None = None)
     Returns the output directory.  Raises :class:`ConfigError` on invalid
     configuration.
     """
-    cfg, model, run, method_seeds, out_dir = _prepare(config_path, seed, out, compare=False)
+    cfg, run, method_seeds, out_dir = _prepare(config_path, seed, out, compare=False)
     method = cfg.methods[0]
-    records = run_method(method, model, run, cfg, method_seeds[0])
+    records = run_method(method, run, cfg, method_seeds[0])
     write_trajectory_csv(out_dir / "trajectory.csv", records)
     write_metrics_csv(out_dir / "metrics.csv", records)
     write_summary_csv(out_dir / "summary.csv", {method: records})
@@ -451,10 +425,10 @@ def compare_methods(config_path, seed: int | None = None, out: str | None = None
     Writes ``metrics_<method>.csv`` per method and a joined
     ``comparison.csv`` keyed by time step.  Returns the output directory.
     """
-    cfg, model, run, method_seeds, out_dir = _prepare(config_path, seed, out, compare=True)
+    cfg, run, method_seeds, out_dir = _prepare(config_path, seed, out, compare=True)
     per_method: dict[str, list[AssimilationRecord]] = {}
     for method, method_seed in zip(cfg.methods, method_seeds):
-        per_method[method] = run_method(method, model, run, cfg, method_seed)
+        per_method[method] = run_method(method, run, cfg, method_seed)
     for method, records in per_method.items():
         write_metrics_csv(out_dir / f"metrics_{method}.csv", records)
     write_comparison_csv(out_dir / "comparison.csv", per_method)

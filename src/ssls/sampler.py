@@ -40,15 +40,15 @@ class NonFiniteEnsembleError(RuntimeError):
         )
 
 
-def make_schedule(num_temperatures: int) -> Array:
+def make_schedule(n_temperatures: int) -> Array:
     """Linear inverse-temperature ladder ``beta_m = m / M``, ending at exactly 1.
 
     A single temperature gives ``[1.0]``, i.e. vanilla (non-annealed)
     Langevin Monte Carlo.
     """
-    if num_temperatures < 1:
-        raise ValueError("need at least one temperature")
-    betas = np.arange(1, num_temperatures + 1) / num_temperatures
+    if n_temperatures < 1:
+        raise ValueError("n_temperatures must be at least 1")
+    betas = np.arange(1, n_temperatures + 1) / n_temperatures
     betas[-1] = 1.0
     return betas
 

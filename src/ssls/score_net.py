@@ -116,6 +116,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be non-negative")
         self.hidden = tuple(int(w) for w in self.hidden)
 
 

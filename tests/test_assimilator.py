@@ -202,10 +202,9 @@ class TestAssimilate:
             assimilate(model, run, cfg)
         assert excinfo.value.step == 1
 
-    @pytest.mark.parametrize("warm_start", [True, False])
-    def test_warm_start_flag_decides_the_init_network(self, monkeypatch, warm_start):
-        """Warm steps train from the previous step's network only when
-        ``SslsConfig.warm_start`` is set; step 1 always trains from scratch."""
+    def test_warm_steps_start_from_the_previous_network(self, monkeypatch):
+        """Each step after the first trains from the previous step's
+        network; step 1 trains from scratch."""
         inits, nets = [], []
 
         def recording_train(samples, config, init=None, rng=None):
@@ -217,15 +216,12 @@ class TestAssimilate:
         monkeypatch.setattr(assimilator, "train_score", recording_train)
         model = make_linear_gaussian()
         run = simulate_reference(model, 3, rng=np.random.default_rng(11))
-        cfg = light_config(n=40, seed=2, warm_start=warm_start)
+        cfg = light_config(n=40, seed=2)
         cfg.train = TrainConfig(smoothing=0.1, epochs=2, batch_size=32, hidden=(8,))
         cfg.init_epochs = 2
         assimilate(model, run, cfg)
         assert inits[0] is None
-        if warm_start:
-            assert inits[1] is nets[0] and inits[2] is nets[1]
-        else:
-            assert inits[1] is None and inits[2] is None
+        assert inits[1] is nets[0] and inits[2] is nets[1]
 
 
 def tiny_ssls(model, run, ensemble_size, seed=0):

@@ -1,21 +1,26 @@
 """Experiment runner: config parsing, CSV outputs, determinism, errors."""
 
 import csv
-import dataclasses
+import functools
+import hashlib
+import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ssls import cli
 from ssls.cli import (
     ConfigError,
-    ModelParams,
-    SslsParams,
     compare_methods,
     load_config,
     main,
     run_experiment,
 )
+from ssls.models import make_double_well, make_linear_gaussian, make_lorenz96
+from ssls.sampler import AnnealPlan, make_schedule
+from ssls.score_net import TrainConfig
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -57,7 +62,7 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.ensemble_size == 500
         assert cfg.steps == 50
-        assert cfg.model.forcing == 8.0
+        assert_same_model(cfg.model, make_lorenz96())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -227,60 +232,157 @@ class TestMain:
         assert (tmp_path / "cmp" / "comparison.csv").exists()
 
 
-# Every config field, with a value of its kind, wrong-kind values, and
-# whether it may be null.
+# Each experiment's model factory, called as the config's `model` section
+# would call it.
+FACTORIES = {
+    "linear_gaussian": make_linear_gaussian,
+    "double_well_linear": functools.partial(make_double_well, measurement="linear"),
+    "double_well_nonlinear": functools.partial(make_double_well, measurement="nonlinear"),
+    "lorenz96": make_lorenz96,
+}
+
+
+def factory_model(experiment, init_prior_shift=0.0, **kwargs):
+    """The experiment's factory model with its guess prior moved by the shift."""
+    model = FACTORIES[experiment](**kwargs)
+    base = model.initial_prior_sampler
+    return model.replace(initial_prior_sampler=lambda rng, n: base(rng, n) + init_prior_shift)
+
+
+def assert_same_model(got, want):
+    """``got`` gives ``want``'s outputs bit for bit on fixed inputs and seeds.
+
+    Overflow is allowed: a Lorenz-96 spin-up with ``dt=2`` diverges.
+    """
+    assert (got.state_dim, got.obs_dim, got.obs_noise_std) == (
+        want.state_dim, want.obs_dim, want.obs_noise_std)
+    x = np.linspace(-1.5, 1.5, 6 * want.state_dim).reshape(6, -1)
+    y = x[::-1] + 0.25
+    pairs = {
+        "dynamics": [m.dynamics(x, x) for m in (got, want)],
+        "log_likelihood_grad": [m.log_likelihood_grad(x, y) for m in (got, want)],
+    }
+    for sampler in ("dynamics_noise_sampler", "initial_prior_sampler", "reference_initial_sampler"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs[sampler] = [getattr(m, sampler)(np.random.default_rng(0), 3) for m in (got, want)]
+    for name, (a, b) in pairs.items():
+        assert np.array_equal(a, b, equal_nan=True), name
+
+
+def ssls_settings(ssls):
+    """What each `ssls` config field set in a built ``SslsConfig``."""
+    train, plan = ssls.train, ssls.plan
+    return {
+        "smoothing": train.smoothing, "epochs": train.epochs, "batch_size": train.batch_size,
+        "learning_rate": train.learning_rate, "n_temperatures": plan.num_temperatures,
+        "n_inner": plan.n_inner, "step_size": plan.step_size, "clip_norm": plan.clip_norm,
+        "init_epochs": ssls.init_epochs,
+    }
+
+
+# Every field that each experiment takes, with a value of its kind, wrong-kind
+# values, and whether it may be null.
+_SHIFT = (-3.0, ["x", True], False)
+_DOUBLE_WELL = {
+    "beta": (0.4, ["x", True], False),
+    "dt": (0.02, ["x", True], False),
+    "obs_noise_std": (0.3, ["x", False], True),
+    "init_prior_shift": _SHIFT,
+}
+_SSLS_CASES = {
+    "smoothing": (0.2, ["x", True], False),
+    "epochs": (7, ["x", 7.5, True], False),
+    "init_epochs": (9, ["x", 9.5, True], True),
+    "batch_size": (16, ["x", 16.0, True], False),
+    "learning_rate": (0.002, ["x", True], False),
+    "n_temperatures": (3, ["x", 3.5, True], False),
+    "n_inner": (5, ["x", 5.5, True], False),
+    "step_size": (0.02, ["x", True], False),
+    "clip_norm": (50.0, ["x", True], True),
+}
 FIELD_CASES = {
-    "model": {
-        "beta": (0.4, ["x", True], False),
-        "dt": (0.02, ["x", True], True),
-        "obs_noise_std": (0.3, ["x", False], True),
-        "gamma": (0.5, ["x", True], False),
-        "dim": (8, ["x", 8.5, True], False),
-        "forcing": (6.0, ["x", True], False),
-        "process_noise_std": (0.2, ["x", True], False),
-        "init_prior_shift": (-3.0, ["x", True], False),
+    "linear_gaussian": {"model": {"init_prior_shift": _SHIFT}, "ssls": _SSLS_CASES},
+    "double_well_linear": {"model": _DOUBLE_WELL, "ssls": _SSLS_CASES},
+    "double_well_nonlinear": {
+        "model": dict(_DOUBLE_WELL, gamma=(0.5, ["x", True], False)), "ssls": _SSLS_CASES,
     },
-    "ssls": {
-        "smoothing": (0.2, ["x", True], False),
-        "epochs": (7, ["x", 7.5, True], False),
-        "init_epochs": (9, ["x", 9.5, True], False),
-        "batch_size": (16, ["x", 16.0, True], False),
-        "learning_rate": (0.002, ["x", True], False),
-        "warm_start": (False, ["x", 0, 1.0], False),
-        "n_temperatures": (3, ["x", 3.5, True], False),
-        "n_inner": (5, ["x", 5.5, True], False),
-        "step_size": (0.02, ["x", True], False),
-        "clip_norm": (50.0, ["x", True], True),
+    "lorenz96": {
+        "model": {
+            "dim": (8, ["x", 8.5, True], False),
+            "forcing": (6.0, ["x", True], False),
+            "dt": (0.02, ["x", True], False),
+            "process_noise_std": (0.2, ["x", True], False),
+            "obs_noise_std": (0.3, ["x", False], False),
+            "init_prior_shift": _SHIFT,
+        },
+        "ssls": _SSLS_CASES,
     },
 }
 
 
+def _parameters(f):
+    return set(inspect.signature(f).parameters)
+
+
 def test_field_cases_cover_every_field():
-    for section, cls in (("model", ModelParams), ("ssls", SslsParams)):
-        assert set(FIELD_CASES[section]) == {f.name for f in dataclasses.fields(cls)}
+    """Each experiment takes the arguments of its factory, less those the
+    config does not expose, and the `ssls` section the settable parameters
+    of TrainConfig, make_schedule, AnnealPlan and SslsConfig."""
+    hidden = {"measurement", "spinup_steps", "guess_mean", "guess_std"}
+    ssls = (_parameters(TrainConfig) - {"hidden"}) | (_parameters(AnnealPlan) - {"betas"})
+    for experiment, factory in FACTORIES.items():
+        fields = _parameters(factory) - hidden | {"init_prior_shift"}
+        if experiment == "double_well_linear":
+            fields.remove("gamma")  # the offset of the exponential measurement
+        assert set(FIELD_CASES[experiment]["model"]) == fields
+        assert set(FIELD_CASES[experiment]["ssls"]) == ssls | {"n_temperatures", "init_epochs"}
+
+
+def _check_field(section, name, value, experiment, cfg):
+    if section == "ssls":
+        got = ssls_settings(cfg.ssls)[name]
+        assert got == value and type(got) is type(value)
+    else:
+        assert_same_model(cfg.model, factory_model(experiment, **{name: value}))
 
 
 @pytest.mark.parametrize(
     "section,name",
-    [(section, name) for section, cases in FIELD_CASES.items() for name in cases],
+    sorted({(section, name) for cases in FIELD_CASES.values()
+            for section, fields in cases.items() for name in fields}),
 )
 def test_each_field_checks_its_kind(tmp_path, section, name):
-    good, wrong, nullable = FIELD_CASES[section][name]
-    cfg = load_config(write_config(tmp_path, method="enkf", **{section: {name: good}}))
-    got = getattr(getattr(cfg, section), name)
-    assert got == good and type(got) is type(good)
-    if isinstance(good, float):  # an integer is a valid real number
-        cfg = load_config(write_config(tmp_path, method="enkf", **{section: {name: 2}}))
-        assert getattr(getattr(cfg, section), name) == 2.0
-    for value in wrong:
-        path = write_config(tmp_path, method="enkf", **{section: {name: value}})
-        with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
-            load_config(path)
-    path = write_config(tmp_path, method="enkf", **{section: {name: None}})
-    if nullable:
-        assert getattr(getattr(load_config(path), section), name) is None
-    else:
-        with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
+    takers = [e for e, cases in FIELD_CASES.items() if name in cases[section]]
+    for experiment in takers:
+        good, wrong, nullable = FIELD_CASES[experiment][section][name]
+
+        def config(value):
+            return write_config(tmp_path, experiment=experiment, method="enkf",
+                                **{section: {name: value}})
+
+        _check_field(section, name, good, experiment, load_config(config(good)))
+        if isinstance(good, float):  # an integer is a valid real number
+            _check_field(section, name, 2.0, experiment, load_config(config(2)))
+        for value in wrong:
+            with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
+                load_config(config(value))
+        if nullable:
+            _check_field(section, name, None, experiment, load_config(config(None)))
+        else:
+            with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
+                load_config(config(None))
+
+
+@pytest.mark.parametrize("experiment", sorted(FIELD_CASES))
+def test_each_experiment_rejects_the_model_fields_it_does_not_use(tmp_path, experiment):
+    good = {name: case[0] for cases in FIELD_CASES.values()
+            for name, case in cases["model"].items()}
+    unused = sorted(set(good) - set(FIELD_CASES[experiment]["model"]))
+    assert unused
+    for name in unused:
+        path = write_config(tmp_path, experiment=experiment, method="enkf",
+                            model={name: good[name]})
+        with pytest.raises(ConfigError, match=f"'model': unknown field.*'{name}'"):
             load_config(path)
 
 
@@ -290,56 +392,114 @@ def test_store_ensembles_is_not_a_config_field(tmp_path):
         load_config(path)
 
 
-# What each file in demos/configs/ loads to, recorded before the parser was
-# derived from the dataclass annotations.
-_LG_MODEL = {
-    "beta": 0.3, "dt": None, "obs_noise_std": None, "gamma": 0.6, "dim": 20,
-    "forcing": 8.0, "process_noise_std": 0.31622776601683794, "init_prior_shift": 0.0,
-}
+# Values of the right kind that the model factory, TrainConfig, AnnealPlan,
+# make_schedule or SslsConfig rejects (the infinite dt is JSON `Infinity`).
+OUT_OF_RANGE = [
+    ("linear_gaussian", "ssls", "step_size", -1),
+    ("linear_gaussian", "ssls", "n_temperatures", 0),
+    ("linear_gaussian", "ssls", "epochs", 0),
+    ("linear_gaussian", "ssls", "batch_size", 0),
+    ("linear_gaussian", "ssls", "smoothing", 0),
+    ("linear_gaussian", "ssls", "clip_norm", 0),
+    ("linear_gaussian", "ssls", "init_epochs", 0),
+    ("linear_gaussian", "ssls", "learning_rate", -1),
+    ("double_well_linear", "model", "dt", -1),
+    ("double_well_linear", "model", "dt", float("inf")),
+    ("lorenz96", "model", "dim", 3),
+    ("lorenz96", "model", "obs_noise_std", 0),
+    ("double_well_nonlinear", "model", "beta", 0),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("experiment,section,name,value", OUT_OF_RANGE)
+def test_out_of_range_value_exits_1_before_any_simulation(
+    tmp_path, capsys, monkeypatch, command, experiment, section, name, value
+):
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_reference", lambda *args, **kw: simulated.append(args))
+    fields = {section: dict(FAST_SSLS, **{name: value}) if section == "ssls" else {name: value}}
+    path = write_config(tmp_path, experiment=experiment, **fields)
+    if command == "compare":  # SSLS after a method that would run first
+        raw = json.loads(path.read_text())
+        del raw["method"]
+        raw["methods"] = ["enkf", "ssls"]
+        path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert simulated == []
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_negative_seed_exits_1(tmp_path, capsys):
+    assert main(["run", str(write_config(tmp_path, method="enkf", seed=-1))]) == 1
+    assert "config error: field 'seed'" in capsys.readouterr().err
+    path = write_config(tmp_path, method="enkf")
+    assert main(["run", str(path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: field 'seed'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert main(["run", str(path), "--seed", "5"]) == 0
+
+
+@pytest.mark.parametrize("value", [None, 5, True])
+def test_out_dir_must_be_a_string(tmp_path, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, method="enkf", out_dir=value)
+    with pytest.raises(ConfigError, match="top level field 'out_dir'"):
+        load_config(path)
+
+
+# What each file in demos/configs/ loads to, recorded before the config
+# sections built the library's objects: the top-level fields, the arguments
+# of the experiment's factory, and the `ssls` settings.
 _SSLS = {
     "smoothing": 0.1, "epochs": 60, "init_epochs": 250, "batch_size": 128,
-    "learning_rate": 0.001, "warm_start": True, "n_temperatures": 10, "n_inner": 20,
+    "learning_rate": 0.001, "n_temperatures": 10, "n_inner": 20,
     "step_size": 0.01, "clip_norm": 100.0,
 }
+_DW_MODEL = {"beta": 0.3, "dt": 0.1, "init_prior_shift": 0.0}
 DEMO_EXPECTED = {
     "compare_linear_gaussian.json": {
         "experiment": "linear_gaussian", "methods": ["ssls", "kalman", "enkf", "apf"],
         "ensemble_size": 500, "steps": 10, "seed": 7,
         "out_dir": "results/compare_linear_gaussian", "mutation_period": None,
-        "model": _LG_MODEL, "ssls": _SSLS,
+        "model": {"init_prior_shift": 0.0}, "ssls": _SSLS,
     },
     "double_well_linear.json": {
         "experiment": "double_well_linear", "methods": ["ssls", "apf", "enkf"],
         "ensemble_size": 500, "steps": 100, "seed": 3,
         "out_dir": "results/double_well_linear", "mutation_period": 20,
-        "model": dict(_LG_MODEL, dt=0.1, obs_noise_std=0.1),
+        "model": dict(_DW_MODEL, obs_noise_std=0.1),
         "ssls": dict(_SSLS, step_size=0.005),
     },
     "double_well_nonlinear.json": {
         "experiment": "double_well_nonlinear", "methods": ["ssls", "apf", "enkf"],
         "ensemble_size": 500, "steps": 100, "seed": 3,
         "out_dir": "results/double_well_nonlinear", "mutation_period": 20,
-        "model": dict(_LG_MODEL, dt=0.1, obs_noise_std=0.2),
+        "model": dict(_DW_MODEL, obs_noise_std=0.2, gamma=0.6),
         "ssls": dict(_SSLS, step_size=0.005),
     },
     "linear_gaussian.json": {
         "experiment": "linear_gaussian", "methods": ["ssls"],
         "ensemble_size": 500, "steps": 10, "seed": 7,
         "out_dir": "results/linear_gaussian", "mutation_period": None,
-        "model": _LG_MODEL, "ssls": _SSLS,
+        "model": {"init_prior_shift": 0.0}, "ssls": _SSLS,
     },
     "lorenz96.json": {
         "experiment": "lorenz96", "methods": ["ssls"],
         "ensemble_size": 500, "steps": 50, "seed": 1,
         "out_dir": "results/lorenz96", "mutation_period": None,
-        "model": dict(_LG_MODEL, dt=0.05, obs_noise_std=0.5),
+        "model": {"dim": 20, "forcing": 8.0, "dt": 0.05, "obs_noise_std": 0.5,
+                  "process_noise_std": 0.31622776601683794, "init_prior_shift": 0.0},
         "ssls": dict(_SSLS, epochs=50, batch_size=100),
     },
     "shifted_prior.json": {
         "experiment": "linear_gaussian", "methods": ["ssls"],
         "ensemble_size": 500, "steps": 10, "seed": 7,
         "out_dir": "results/shifted_prior", "mutation_period": None,
-        "model": dict(_LG_MODEL, init_prior_shift=-10.0), "ssls": _SSLS,
+        "model": {"init_prior_shift": -10.0}, "ssls": _SSLS,
     },
 }
 
@@ -352,4 +512,65 @@ def test_demo_configs_are_all_recorded():
 def test_demo_config_loads_as_recorded(name):
     path = DEMO_CONFIGS / name
     cfg = load_config(path, compare="methods" in json.loads(path.read_text()))
-    assert dataclasses.asdict(cfg) == DEMO_EXPECTED[name]
+    expected = dict(DEMO_EXPECTED[name])
+    model_args, ssls = expected.pop("model"), expected.pop("ssls")
+    assert {key: getattr(cfg, key) for key in expected} == expected
+    assert_same_model(cfg.model, factory_model(cfg.experiment, **model_args))
+    assert ssls_settings(cfg.ssls) == ssls
+    assert np.array_equal(cfg.ssls.plan.betas, make_schedule(ssls["n_temperatures"]))
+    assert (cfg.ssls.ensemble_size, cfg.ssls.train.hidden, cfg.ssls.store_ensembles) == (
+        cfg.ensemble_size, (128, 128), False)
+
+
+# SHA-1s of the CSVs that each demo config writes when shortened to 2 steps
+# and 40 particles, recorded before the config sections built the library's
+# objects.  The score network computes in float32, so a NumPy build with
+# other BLAS kernels may round differently.
+DEMO_CSV_SHA1 = {
+    "compare_linear_gaussian.json": {
+        "comparison.csv": "7706be30a69b578608d0271b70b2d5661ea1d5e9",
+        "metrics_apf.csv": "6d5758c5cb8188511bcd5fbee2697b878da04ec5",
+        "metrics_enkf.csv": "4d932c15e8bba60ef2123574c6fc945e4bb42126",
+        "metrics_kalman.csv": "3f3b8151bb0c812140622f55cbab644e6e0edb71",
+        "metrics_ssls.csv": "ffd2e2ce62cb152b9be75d9923216848615d2930",
+    },
+    "double_well_linear.json": {
+        "comparison.csv": "8fb640b9c0721adec0672eea61ab9c8f0cfbb03e",
+        "metrics_apf.csv": "d94f4a720e6e3fa7d4ef00b8e60ada7f7314f413",
+        "metrics_enkf.csv": "a3865995cb82915790a4b94d43f0713bc9e189a8",
+        "metrics_ssls.csv": "e76bc2db67e7ee4d09b900a55b5362fbc1bb7618",
+    },
+    "double_well_nonlinear.json": {
+        "comparison.csv": "d01ca4ef28727ad5572774ac3ae34e7074e75919",
+        "metrics_apf.csv": "c44cecb5114846c34f101d333fc41fbbca457074",
+        "metrics_enkf.csv": "a5c394a8f418dd87599a5e451103514f101c9675",
+        "metrics_ssls.csv": "98807f24a3281b7c41df279e980a0134ecad0ee5",
+    },
+    "linear_gaussian.json": {
+        "metrics.csv": "ffd2e2ce62cb152b9be75d9923216848615d2930",
+        "summary.csv": "68046cdd10d1b08e87bad57ea4b64abaa5f7c313",
+        "trajectory.csv": "73c2ab1825a43fcf6c4442b4aaf600a94abe5c11",
+    },
+    "lorenz96.json": {
+        "metrics.csv": "bd2d05f480fb5b7ce43d40533722068da979937d",
+        "summary.csv": "7a1b0050b936675cd1a856863dadd00532a4f671",
+        "trajectory.csv": "20314678ad85bc7647e2823e600993d63dda5d49",
+    },
+    "shifted_prior.json": {
+        "metrics.csv": "f80b5ee2c429493aceb49be46af827d44e092297",
+        "summary.csv": "d547d370563d74b884d87bb69407b464c53ff105",
+        "trajectory.csv": "0e3b1b3a55eb0b7eba8183133c3d197e8a9459ff",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CSV_SHA1))
+def test_shortened_demo_config_writes_recorded_csvs(tmp_path, name):
+    raw = json.loads((DEMO_CONFIGS / name).read_text())
+    raw.update(steps=2, ensemble_size=40, out_dir=str(tmp_path / "out"))
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    assert main(["compare" if "methods" in raw else "run", str(path)]) == 0
+    written = {f.name: hashlib.sha1(f.read_bytes()).hexdigest()
+               for f in (tmp_path / "out").iterdir()}
+    assert written == DEMO_CSV_SHA1[name]

@@ -15,20 +15,31 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_import_loads_no_scipy():
+    """``import ssls, ssls.cli`` loads no third-party package but NumPy.
+
+    Every CLI run pays for its imports.  NumPy's Cython extensions register
+    runtime helper modules (``cython_runtime``, ``_cython_<version>``).
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     code = (
-        "import sys, ssls, ssls.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(' '.join(loaded))\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ssls, ssls.cli\n"
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == ""
+    third_party = {
+        m for m in result.stdout.split()
+        if m not in ("numpy", "ssls", "cython_runtime") and not m.startswith("_cython_")
+    }
+    assert third_party == set()
 
 
 def test_scipy_is_not_a_runtime_dependency():

@@ -297,8 +297,8 @@ class TestTrainScore:
         assert second.shift[0] == pytest.approx(shifted.mean())
 
     def test_warm_start_disabled_reinitializes(self):
-        # A cold start (init=None, as SslsConfig(warm_start=False) passes it)
-        # draws fresh weights: equal to an independent cold start on the same
+        # A cold start (init=None, as SSLS's first step passes it) draws
+        # fresh weights: equal to an independent cold start on the same
         # generator state, not to the previous network.
         rng = np.random.default_rng(15)
         first = train_score(rng.normal(size=(64, 1)), TrainConfig(epochs=2), rng=rng)
