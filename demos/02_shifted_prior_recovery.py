@@ -18,6 +18,7 @@ from ssls import (
     kalman_filter,
     make_linear_gaussian,
     make_schedule,
+    shift_prior,
     simulate_reference,
 )
 
@@ -27,7 +28,7 @@ run = simulate_reference(model_true, 10, rng=np.random.default_rng(1234))
 spec = LinearGaussianSpec(A=1.0, Q=5.0, H=1.0, R=0.2, m0=0.0, P0=1.0)
 kalman_means, _ = kalman_filter(spec, run.observations)
 
-model_guess = make_linear_gaussian(guess_mean=-10.0)
+model_guess = shift_prior(make_linear_gaussian(), -10.0)
 config = SslsConfig(
     ensemble_size=500,
     train=TrainConfig(smoothing=0.1, epochs=60, batch_size=128),

@@ -18,6 +18,7 @@ from .models import (
     make_double_well,
     make_linear_gaussian,
     make_lorenz96,
+    shift_prior,
     simulate_reference,
 )
 from .sampler import AnnealPlan, make_schedule
@@ -41,6 +42,7 @@ __all__ = [
     "make_schedule",
     "run_apf",
     "run_enkf",
+    "shift_prior",
     "simulate_reference",
     "train_score",
 ]

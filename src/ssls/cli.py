@@ -10,7 +10,9 @@ Two commands are exposed::
 ``metrics.csv`` (one row of RMSE/spread/coverage/CRPS per step) and
 ``summary.csv`` (time-averaged metrics).  ``compare`` runs several methods
 against the *same* reference trajectory and writes one ``metrics_<m>.csv``
-per method plus a joined ``comparison.csv`` keyed by time step.
+per method plus a joined ``comparison.csv`` keyed by time step.  Every
+per-step table comes from :func:`write_csv`, which joins named column
+groups; a group written for each method has the suffix ``_<method>``.
 
 Config schema (JSON object; unknown keys are rejected)::
 
@@ -59,9 +61,11 @@ files carry 17 significant digits and round-trip exactly.
 The exit status is 1 for an invalid config, found before any simulation: a
 malformed file, an unknown or unused field, a value of the wrong kind, or
 one that the model factory, ``TrainConfig``, ``AnnealPlan``,
-``make_schedule`` or ``SslsConfig`` rejects.  It is 2 when a filter run
-fails (SSLS, EnKF or APF); the message on standard error names the failing
-step.
+``make_schedule`` or ``SslsConfig`` rejects.  It is also 1 when the
+reference run that the config sets diverges (a state or observation is not
+finite; the message names the first such step), found before the output
+directory is made.  It is 2 when a filter run fails (SSLS, EnKF or APF);
+the message on standard error names the failing step.
 """
 
 import argparse
@@ -74,6 +78,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -87,22 +92,18 @@ from .models import (
     make_double_well,
     make_linear_gaussian,
     make_lorenz96,
+    shift_prior,
     simulate_reference,
 )
 from .sampler import AnnealPlan, make_schedule
 from .score_net import TrainConfig
 
 METHODS = ("ssls", "enkf", "apf", "kalman")
+METRICS = ("rmse", "spread", "coverage", "crps")
 
 
 class ConfigError(ValueError):
     """A config file is missing, malformed, or violates a constraint."""
-
-
-def _shift_prior(model: ModelSpec, init_prior_shift: float) -> ModelSpec:
-    """``model`` with its guess prior moved by ``init_prior_shift``."""
-    base = model.initial_prior_sampler
-    return model.replace(initial_prior_sampler=lambda rng, n: base(rng, n) + init_prior_shift)
 
 
 # Each experiment's model factory and the parameters of it that the `model`
@@ -147,14 +148,13 @@ _EXPERIMENT_DEFAULTS: dict[str, dict] = {
 class ExperimentConfig:
     """A fully validated experiment description, built by :func:`load_config`.
 
-    ``model`` and ``ssls`` are built from their config sections, and
-    ``ssls.ensemble_size`` is ``ensemble_size``.  Each SSLS run replaces
+    ``model`` and ``ssls`` are built from their config sections, and every
+    ensemble method takes ``ssls.ensemble_size``.  Each SSLS run replaces
     ``ssls.seed`` with its own seed.
     """
 
     experiment: str
     methods: list[str]
-    ensemble_size: int
     model: ModelSpec
     ssls: SslsConfig
     steps: int
@@ -245,7 +245,7 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _check_keys(raw, {*ExperimentConfig.__dataclass_fields__, "method"}, str(path))
+    _check_keys(raw, {*_annotations(ExperimentConfig), "method", "ensemble_size"}, str(path))
 
     if "experiment" not in raw:
         raise ConfigError("field 'experiment' is required")
@@ -273,11 +273,11 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
 
     scalars = ("ensemble_size", "steps", "seed", "mutation_period", "out_dir")
     top = {k: v for k, v in {**defaults, **raw}.items() if k in scalars}
-    top = _typed(top, _annotations(ExperimentConfig), "top level")
-    # SslsConfig holds the ensemble size, and its default when none is given.
+    # SslsConfig holds the ensemble size, its kind, and its default when none is given.
+    top = _typed(top, _annotations(SslsConfig) | _annotations(ExperimentConfig), "top level")
     size = {"ensemble_size": top.pop("ensemble_size")} if "ensemble_size" in top else {}
     factory, names = _MODELS[experiment]
-    model_args = _section(raw, "model", {factory: names, _shift_prior: ["init_prior_shift"]}, {})
+    model_args = _section(raw, "model", {factory: names, shift_prior: ["init_prior_shift"]}, {})
     args = _section(raw, "ssls", _SSLS_FIELDS, defaults["ssls"])
     try:  # the library's own checks are the range checks
         model = factory(**model_args[factory])
@@ -287,10 +287,9 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
         ssls = SslsConfig(train=train, plan=plan, **args[SslsConfig], **size)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if model_args[_shift_prior]:
-        model = _shift_prior(model, **model_args[_shift_prior])
-    return ExperimentConfig(experiment=experiment, methods=methods,
-                            ensemble_size=ssls.ensemble_size, model=model, ssls=ssls, **top)
+    if model_args[shift_prior]:
+        model = shift_prior(model, **model_args[shift_prior])
+    return ExperimentConfig(experiment=experiment, methods=methods, model=model, ssls=ssls, **top)
 
 
 def run_method(
@@ -300,9 +299,9 @@ def run_method(
     if method == "ssls":
         return assimilate(cfg.model, run, dataclasses.replace(cfg.ssls, seed=seed))
     if method == "enkf":
-        return baselines.run_enkf(cfg.model, run, cfg.ensemble_size, seed=seed)
+        return baselines.run_enkf(cfg.model, run, cfg.ssls.ensemble_size, seed=seed)
     if method == "apf":
-        return baselines.run_apf(cfg.model, run, cfg.ensemble_size, seed=seed)
+        return baselines.run_apf(cfg.model, run, cfg.ssls.ensemble_size, seed=seed)
     return baselines.run_kalman(baselines.LinearGaussianSpec(**LINEAR_GAUSSIAN), run)
 
 
@@ -310,129 +309,97 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+# The column groups of a per-step table: each one's column-name stem (the
+# names themselves for "metrics") and how to read its values from a record.
+_GROUPS = {
+    "reference": ("ref", attrgetter("reference")),
+    "observation": ("obs", attrgetter("observation")),
+    "mean": ("mean", attrgetter("mean")),
+    "std": ("std", attrgetter("std")),
+    "metrics": (METRICS, attrgetter(*(f"metrics.{name}" for name in METRICS))),
+}
+
+
+def write_csv(path: Path, per_method: dict[str, list[AssimilationRecord]],
+              shared, each=()) -> None:
+    """Write one row per step to ``path``: the step, the ``shared`` column
+    groups of the first method's records, then each method's ``each``
+    groups with the suffix ``_<method>``.  The groups are ``reference``,
+    ``observation``, ``mean``, ``std`` and ``metrics``.
+    """
+    first = next(iter(per_method.values()))
+    parts = [(first, shared, "")]
+    parts += [(records, each, f"_{method}") for method, records in per_method.items()]
+    header, readers = ["step"], []
+    for records, groups, suffix in parts:
+        for group in groups:
+            stem, read = _GROUPS[group]
+            if isinstance(stem, str):
+                stem = [f"{stem}_{i}" for i in range(len(read(records[0])))]
+            header += [name + suffix for name in stem]
+            readers.append((records, read))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_trajectory_csv(path: Path, records: list[AssimilationRecord]) -> None:
-    d = records[0].mean.shape[0]
-    p = records[0].observation.shape[0]
-    header = (
-        ["step"]
-        + [f"ref_{i}" for i in range(d)]
-        + [f"obs_{i}" for i in range(p)]
-        + [f"mean_{i}" for i in range(d)]
-        + [f"std_{i}" for i in range(d)]
-    )
-    rows = [
-        [r.step]
-        + [_fmt(v) for v in r.reference]
-        + [_fmt(v) for v in r.observation]
-        + [_fmt(v) for v in r.mean]
-        + [_fmt(v) for v in r.std]
-        for r in records
-    ]
-    _write_csv(path, header, rows)
-
-
-def write_metrics_csv(path: Path, records: list[AssimilationRecord]) -> None:
-    header = ["step", "rmse", "spread", "coverage", "crps"]
-    rows = [
-        [r.step] + [_fmt(v) for v in (r.metrics.rmse, r.metrics.spread,
-                                      r.metrics.coverage, r.metrics.crps)]
-        for r in records
-    ]
-    _write_csv(path, header, rows)
-
-
-def _time_averages(records: list[AssimilationRecord]) -> list[str]:
-    return [
-        _fmt(np.mean([getattr(r.metrics, metric) for r in records]))
-        for metric in ("rmse", "spread", "coverage", "crps")
-    ]
+        for k, record in enumerate(first):
+            row = [record.step]
+            for records, read in readers:
+                row += [_fmt(v) for v in read(records[k])]
+            writer.writerow(row)
 
 
 def write_summary_csv(path: Path, per_method: dict[str, list[AssimilationRecord]]) -> None:
-    header = ["method", "rmse", "spread", "coverage", "crps"]
-    rows = [[method] + _time_averages(records) for method, records in per_method.items()]
-    _write_csv(path, header, rows)
+    """Write each method's time-averaged metrics to ``path``, one row per method."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method", *METRICS])
+        for method, records in per_method.items():
+            means = [np.mean([getattr(r.metrics, metric) for r in records]) for metric in METRICS]
+            writer.writerow([method] + [_fmt(v) for v in means])
 
 
-def write_comparison_csv(path: Path, per_method: dict[str, list[AssimilationRecord]]) -> None:
-    methods = list(per_method)
-    first = next(iter(per_method.values()))
-    d = first[0].mean.shape[0]
-    header = ["step"] + [f"ref_{i}" for i in range(d)]
-    for m in methods:
-        header += [f"mean_{i}_{m}" for i in range(d)]
-        header += [f"std_{i}_{m}" for i in range(d)]
-        header += [f"rmse_{m}", f"spread_{m}", f"coverage_{m}", f"crps_{m}"]
-    rows = []
-    for step_idx in range(len(first)):
-        row = [first[step_idx].step] + [_fmt(v) for v in first[step_idx].reference]
-        for m in methods:
-            r = per_method[m][step_idx]
-            row += [_fmt(v) for v in r.mean]
-            row += [_fmt(v) for v in r.std]
-            row += [_fmt(v) for v in (r.metrics.rmse, r.metrics.spread,
-                                      r.metrics.coverage, r.metrics.crps)]
-        rows.append(row)
-    _write_csv(path, header, rows)
-
-
-def _prepare(config_path, seed, out, compare: bool):
+def _run(config_path, seed, out, compare: bool) -> Path:
+    """Run every method of the config on one shared reference run, write the
+    ``run`` or the ``compare`` files, and return the output directory."""
     cfg = load_config(config_path, compare=compare)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(seed))  # checks the seed again
     if out is not None:
         cfg.out_dir = str(out)
-    root = np.random.SeedSequence(cfg.seed)
-    ref_child, method_root = root.spawn(2)
-    run = simulate_reference(
-        cfg.model,
-        cfg.steps,
-        mutation_period=cfg.mutation_period,
-        rng=np.random.default_rng(ref_child),
-    )
-    method_seeds = [int(child.generate_state(1)[0]) for child in
-                    method_root.spawn(len(cfg.methods))]
+    ref_child, method_root = np.random.SeedSequence(cfg.seed).spawn(2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run is reported below
+        run = simulate_reference(cfg.model, cfg.steps, mutation_period=cfg.mutation_period,
+                                 rng=np.random.default_rng(ref_child))
+    finite = np.isfinite(run.states).all(axis=1) & np.isfinite(run.observations).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"the reference run diverges: step {np.argmin(finite) + 1} has a "
+                          "state or observation that is not finite")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, run, method_seeds, out_dir
+    per_method = {
+        method: run_method(method, run, cfg, int(child.generate_state(1)[0]))
+        for method, child in zip(cfg.methods, method_root.spawn(len(cfg.methods)))
+    }
+    if compare:
+        for method, records in per_method.items():
+            write_csv(out_dir / f"metrics_{method}.csv", {method: records}, ["metrics"])
+        write_csv(out_dir / "comparison.csv", per_method, ["reference"], ["mean", "std", "metrics"])
+    else:
+        write_csv(out_dir / "trajectory.csv", per_method,
+                  ["reference", "observation", "mean", "std"])
+        write_csv(out_dir / "metrics.csv", per_method, ["metrics"])
+        write_summary_csv(out_dir / "summary.csv", per_method)
+    return out_dir
 
 
 def run_experiment(config_path, seed: int | None = None, out: str | None = None) -> Path:
-    """Run one method per the config; write trajectory/metrics/summary CSVs.
-
-    Returns the output directory.  Raises :class:`ConfigError` on invalid
-    configuration.
-    """
-    cfg, run, method_seeds, out_dir = _prepare(config_path, seed, out, compare=False)
-    method = cfg.methods[0]
-    records = run_method(method, run, cfg, method_seeds[0])
-    write_trajectory_csv(out_dir / "trajectory.csv", records)
-    write_metrics_csv(out_dir / "metrics.csv", records)
-    write_summary_csv(out_dir / "summary.csv", {method: records})
-    return out_dir
+    """``ssls run``: write ``trajectory.csv``, ``metrics.csv`` and ``summary.csv``."""
+    return _run(config_path, seed, out, compare=False)
 
 
 def compare_methods(config_path, seed: int | None = None, out: str | None = None) -> Path:
-    """Run every configured method on one shared reference trajectory.
-
-    Writes ``metrics_<method>.csv`` per method and a joined
-    ``comparison.csv`` keyed by time step.  Returns the output directory.
-    """
-    cfg, run, method_seeds, out_dir = _prepare(config_path, seed, out, compare=True)
-    per_method: dict[str, list[AssimilationRecord]] = {}
-    for method, method_seed in zip(cfg.methods, method_seeds):
-        per_method[method] = run_method(method, run, cfg, method_seed)
-    for method, records in per_method.items():
-        write_metrics_csv(out_dir / f"metrics_{method}.csv", records)
-    write_comparison_csv(out_dir / "comparison.csv", per_method)
-    return out_dir
+    """``ssls compare``: write ``metrics_<method>.csv`` per method and ``comparison.csv``."""
+    return _run(config_path, seed, out, compare=True)
 
 
 def main(argv=None) -> int:

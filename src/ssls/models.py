@@ -151,21 +151,14 @@ def _direct_observation(obs_var: float) -> dict:
     return _fields(observation_mean, log_likelihood, log_likelihood_grad)
 
 
-def make_linear_gaussian(guess_mean: float = 0.0, guess_std: float = 1.0) -> ModelSpec:
+def make_linear_gaussian() -> ModelSpec:
     """One-dimensional linear-Gaussian random walk.
 
     Dynamics ``X_{k+1} = X_k + V_k`` with ``V_k ~ N(0, 5)``; measurement
     ``Y_k = X_k + W_k`` with ``W_k ~ N(0, 0.2)``; the true initial law is
-    ``X_1 ~ N(0, 1)``.  The guess prior defaults to the true initial law and
-    can be shifted or rescaled to study initialization error.
-
-    Parameters
-    ----------
-    guess_mean, guess_std : float
-        Mean and standard deviation of the assimilator's initial guess prior.
+    ``X_1 ~ N(0, 1)``, and the guess prior is the true initial law (see
+    :func:`shift_prior` to study initialization error).
     """
-    if guess_std <= 0:
-        raise ValueError("guess_std must be positive")
     process_var = LINEAR_GAUSSIAN["Q"]
     obs_var = LINEAR_GAUSSIAN["R"]
 
@@ -175,9 +168,6 @@ def make_linear_gaussian(guess_mean: float = 0.0, guess_std: float = 1.0) -> Mod
     def noise(rng, n):
         return np.sqrt(process_var) * rng.standard_normal((n, 1))
 
-    def guess_prior(rng, n):
-        return guess_mean + guess_std * rng.standard_normal((n, 1))
-
     def reference_prior(rng, n):
         return rng.standard_normal((n, 1))
 
@@ -186,11 +176,17 @@ def make_linear_gaussian(guess_mean: float = 0.0, guess_std: float = 1.0) -> Mod
         obs_dim=1,
         dynamics=dynamics,
         dynamics_noise_sampler=noise,
-        initial_prior_sampler=guess_prior,
+        initial_prior_sampler=reference_prior,
         reference_initial_sampler=reference_prior,
         obs_noise_std=float(np.sqrt(obs_var)),
         **_direct_observation(obs_var),
     )
+
+
+def shift_prior(model: ModelSpec, init_prior_shift: float) -> ModelSpec:
+    """``model`` with its guess prior moved by ``init_prior_shift``; the true law stays."""
+    base = model.initial_prior_sampler
+    return model.replace(initial_prior_sampler=lambda rng, n: base(rng, n) + init_prior_shift)
 
 
 def double_well_potential_grad(x: Array) -> Array:

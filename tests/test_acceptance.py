@@ -26,6 +26,7 @@ from ssls.models import (
     make_double_well,
     make_linear_gaussian,
     make_lorenz96,
+    shift_prior,
     simulate_reference,
 )
 from ssls.sampler import AnnealPlan, almc_update, make_schedule
@@ -82,7 +83,7 @@ def lg_setup():
 @pytest.fixture(scope="module")
 def lg_shifted_records(lg_setup):
     _, run, _, _ = lg_setup
-    model = make_linear_gaussian(guess_mean=-10.0)
+    model = shift_prior(make_linear_gaussian(), -10.0)
     return assimilate(model, run, lg_ssls_config(seed=7, store=True))
 
 

@@ -17,6 +17,7 @@ from ssls.models import (
     make_double_well,
     make_linear_gaussian,
     make_lorenz96,
+    shift_prior,
     simulate_reference,
 )
 from ssls.sampler import AnnealPlan, make_schedule
@@ -161,7 +162,7 @@ class TestAssimilate:
 
     def test_shifted_prior_recovers(self):
         """A N(-10,1) guess prior reconverges to the exact-prior Kalman mean."""
-        model = make_linear_gaussian(guess_mean=-10.0)
+        model = shift_prior(make_linear_gaussian(), -10.0)
         run = simulate_reference(model, 6, rng=np.random.default_rng(1234))
         spec = LinearGaussianSpec(A=1.0, Q=5.0, H=1.0, R=0.2, m0=0.0, P0=1.0)
         means, _ = kalman_filter(spec, run.observations)

@@ -3,15 +3,16 @@
 ``bench/tracing.py`` wraps the package's functions at their module
 attributes, and its per-layer metrics assume how often each one is called.
 This guards that coupling: the spans occur as often as the tracer assumes,
-and a traced run's records equal an untraced run's bit for bit.
+and a traced run's records and CSV files equal an untraced run's bit for bit.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssls import assimilator, baselines
+from ssls import assimilator, baselines, cli
 from ssls.assimilator import SslsConfig
 from ssls.models import make_linear_gaussian, simulate_reference
 from ssls.sampler import AnnealPlan, make_schedule
@@ -76,3 +77,33 @@ def test_tracer_spans_and_records(tracing):
             assert a.mean.tobytes() == b.mean.tobytes()
             assert a.std.tobytes() == b.std.tobytes()
             assert a.metrics == b.metrics
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_tracer_sizes_every_csv_file(tracing, tmp_path, command):
+    """The tracer wraps every ``cli.write_*`` writer, which is called once
+    per file through the module and takes the file's path first."""
+    config = {"experiment": "linear_gaussian", "ensemble_size": N, "steps": STEPS, "seed": 0}
+    if command == "run":
+        config["method"], entry = "enkf", cli.run_experiment
+    else:
+        config["methods"], entry = ["kalman", "enkf", "apf"], cli.compare_methods
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    plain = entry(path, out=str(tmp_path / "plain"))
+    writers = {name: getattr(cli, name) for name in dir(cli) if name.startswith("write_")}
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = entry(path, out=str(tmp_path / "traced"))
+    finally:
+        tracer.remove()
+    assert {name: getattr(cli, name) for name in writers} == writers
+
+    files = sorted(plain.iterdir())
+    assert sorted(f.name for f in traced.iterdir()) == [f.name for f in files]
+    for f in files:
+        assert (traced / f.name).read_bytes() == f.read_bytes()
+    assert tracer.calls["cli.csv_write"] == len(files)
+    assert tracer.counts["cli.csv_bytes"] == sum(f.stat().st_size for f in files)

@@ -60,7 +60,7 @@ class TestLoadConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"experiment": "lorenz96", "method": "apf"}))
         cfg = load_config(path)
-        assert cfg.ensemble_size == 500
+        assert cfg.ssls.ensemble_size == 500
         assert cfg.steps == 50
         assert_same_model(cfg.model, make_lorenz96())
 
@@ -328,7 +328,7 @@ def test_field_cases_cover_every_field():
     """Each experiment takes the arguments of its factory, less those the
     config does not expose, and the `ssls` section the settable parameters
     of TrainConfig, make_schedule, AnnealPlan and SslsConfig."""
-    hidden = {"measurement", "spinup_steps", "guess_mean", "guess_std"}
+    hidden = {"measurement", "spinup_steps"}
     ssls = (_parameters(TrainConfig) - {"hidden"}) | (_parameters(AnnealPlan) - {"betas"})
     for experiment, factory in FACTORIES.items():
         fields = _parameters(factory) - hidden | {"init_prior_shift"}
@@ -443,6 +443,43 @@ def test_negative_seed_exits_1(tmp_path, capsys):
     assert main(["run", str(path), "--seed", "5"]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_diverging_reference_run_exits_1_before_the_output_directory(tmp_path, capsys, command):
+    # A Lorenz-96 step of dt=2 overflows in the spin-up of the initial state.
+    path = write_config(tmp_path, experiment="lorenz96", method="enkf", model={"dt": 2})
+    if command == "compare":
+        raw = json.loads(path.read_text())
+        del raw["method"]
+        raw["methods"] = ["enkf", "apf"]
+        path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: the reference run diverges: step 1 " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverging_reference_run_names_the_first_bad_step(tmp_path, capsys, monkeypatch):
+    real = cli.simulate_reference
+
+    def diverging(*args, **kwargs):
+        run = real(*args, **kwargs)
+        run.observations[2:] = np.inf
+        return run
+
+    monkeypatch.setattr(cli, "simulate_reference", diverging)
+    path = write_config(tmp_path, method="enkf", steps=4)
+    assert main(["run", str(path)]) == 1
+    assert "step 3 has a state or observation that is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["x", 2.5, True, None, 1])
+def test_ensemble_size_is_checked_at_the_top_level(tmp_path, value):
+    with pytest.raises(ConfigError, match="ensemble_size"):
+        load_config(write_config(tmp_path, method="enkf", ensemble_size=value))
+
+
 @pytest.mark.parametrize("value", [None, 5, True])
 def test_out_dir_must_be_a_string(tmp_path, monkeypatch, value):
     monkeypatch.chdir(tmp_path)
@@ -514,12 +551,13 @@ def test_demo_config_loads_as_recorded(name):
     cfg = load_config(path, compare="methods" in json.loads(path.read_text()))
     expected = dict(DEMO_EXPECTED[name])
     model_args, ssls = expected.pop("model"), expected.pop("ssls")
+    size = expected.pop("ensemble_size")
     assert {key: getattr(cfg, key) for key in expected} == expected
     assert_same_model(cfg.model, factory_model(cfg.experiment, **model_args))
     assert ssls_settings(cfg.ssls) == ssls
     assert np.array_equal(cfg.ssls.plan.betas, make_schedule(ssls["n_temperatures"]))
     assert (cfg.ssls.ensemble_size, cfg.ssls.train.hidden, cfg.ssls.store_ensembles) == (
-        cfg.ensemble_size, (128, 128), False)
+        size, (128, 128), False)
 
 
 # SHA-1s of the CSVs that each demo config writes when shortened to 2 steps
@@ -564,6 +602,16 @@ DEMO_CSV_SHA1 = {
 }
 
 
+# The same for a compare of EnKF and APF on the lorenz96 demo config, whose
+# tables have 20 columns per group, recorded before every per-step table
+# came from one writer.
+L96_COMPARE_SHA1 = {
+    "comparison.csv": "3868c770bd601a695954a996f70c279d18febc8e",
+    "metrics_apf.csv": "21a2ff27fc3b17b605a0b343e4e02656c7c34115",
+    "metrics_enkf.csv": "ddccc2ef563ca4cd7c784ca66ce5fde7a0aa314e",
+}
+
+
 @pytest.mark.parametrize("name", sorted(DEMO_CSV_SHA1))
 def test_shortened_demo_config_writes_recorded_csvs(tmp_path, name):
     raw = json.loads((DEMO_CONFIGS / name).read_text())
@@ -574,3 +622,15 @@ def test_shortened_demo_config_writes_recorded_csvs(tmp_path, name):
     written = {f.name: hashlib.sha1(f.read_bytes()).hexdigest()
                for f in (tmp_path / "out").iterdir()}
     assert written == DEMO_CSV_SHA1[name]
+
+
+def test_shortened_lorenz96_compare_writes_recorded_csvs(tmp_path):
+    raw = json.loads((DEMO_CONFIGS / "lorenz96.json").read_text())
+    del raw["method"]
+    raw.update(methods=["enkf", "apf"], steps=2, ensemble_size=40, out_dir=str(tmp_path / "out"))
+    path = tmp_path / "lorenz96.json"
+    path.write_text(json.dumps(raw))
+    assert main(["compare", str(path)]) == 0
+    written = {f.name: hashlib.sha1(f.read_bytes()).hexdigest()
+               for f in (tmp_path / "out").iterdir()}
+    assert written == L96_COMPARE_SHA1

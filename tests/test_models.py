@@ -16,6 +16,7 @@ from ssls.models import (
     make_linear_gaussian,
     make_lorenz96,
     rk4_step,
+    shift_prior,
     simulate_reference,
 )
 
@@ -44,15 +45,11 @@ class TestLinearGaussian:
         assert g[0] == pytest.approx(5.0)
 
     def test_guess_prior_shift(self):
-        model = make_linear_gaussian(guess_mean=-10.0)
+        model = shift_prior(make_linear_gaussian(), -10.0)
         samples = model.initial_prior_sampler(np.random.default_rng(0), 4000)
         assert samples.mean() == pytest.approx(-10.0, abs=0.1)
         reference = model.reference_initial_sampler(np.random.default_rng(0), 4000)
         assert reference.mean() == pytest.approx(0.0, abs=0.1)
-
-    def test_bad_guess_std_rejected(self):
-        with pytest.raises(ValueError):
-            make_linear_gaussian(guess_std=0.0)
 
 
 class TestDoubleWell:
