@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator
 
-from .metrics import MetricRow, ensemble_metrics
+from .metrics import MetricRow, _moments, ensemble_metrics
 from .models import ModelSpec, ReferenceRun
 from .sampler import AnnealPlan, NonFiniteEnsembleError, almc_update
 from .score_net import ScoreNetwork, TrainConfig, TrainingDivergedError, train_score
@@ -141,7 +141,9 @@ def run_filter(
         zero), or the ensemble's mean, std or metrics are not finite; the
         failing step index is recorded on the exception.
     """
-    _check_inputs(model, run, ensemble_size)
+    if ensemble_size < 2:
+        raise ValueError("ensemble_size must be at least 2")
+    _check_run(run, model.state_dim, model.obs_dim)
     rng = np.random.default_rng(seed)
     ensemble = model.initial_prior_sampler(rng, ensemble_size)
     records: list[AssimilationRecord] = []
@@ -155,12 +157,12 @@ def run_filter(
     return records
 
 
-def _check_inputs(model: ModelSpec, run: ReferenceRun, ensemble_size: int) -> None:
-    if ensemble_size < 2:
-        raise ValueError("ensemble_size must be at least 2")
+def _check_run(run: ReferenceRun, state_dim: int, obs_dim: int) -> None:
+    """Raise ``ValueError`` unless the run's states are ``state_dim`` wide, its
+    observations ``obs_dim`` wide and finite; the message names the step."""
     for name, values, width in (
-        ("state", run.states, model.state_dim),
-        ("observation", run.observations, model.obs_dim),
+        ("state", run.states, state_dim),
+        ("observation", run.observations, obs_dim),
     ):
         if values.shape[1] != width:
             raise ValueError(
@@ -176,8 +178,8 @@ def _record(k: int, ensemble: Array, run: ReferenceRun, store: bool) -> Assimila
     # A diverged ensemble can stay finite (particles near 1e199) while its
     # statistics or its error overflow; such a step failed.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = ensemble.mean(axis=0)
-        std = ensemble.std(axis=0, ddof=1)
+        mean, var = _moments(ensemble)
+        std = np.sqrt(var)
         metrics = ensemble_metrics(k, ensemble, run.states[k - 1])
     scores = (metrics.rmse, metrics.spread, metrics.crps)
     if not (np.isfinite(mean).all() and np.isfinite(std).all() and np.isfinite(scores).all()):

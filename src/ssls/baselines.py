@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .assimilator import AssimilationRecord, run_filter
+from .assimilator import AssimilationRecord, _check_run, run_filter
 # Unused here, but bench/tracing.py wraps baselines.ensemble_metrics.
 from .metrics import ensemble_metrics, gaussian_metrics  # noqa: F401
 from .models import ModelSpec, ReferenceRun
@@ -236,21 +236,15 @@ def run_apf(
 
 
 def run_kalman(spec: LinearGaussianSpec, run: ReferenceRun) -> list[AssimilationRecord]:
-    """Exact Gaussian filtering records for a linear-Gaussian reference run."""
-    means, covs = kalman_filter(spec, run.observations)
-    records = []
-    for k in range(1, len(run) + 1):
-        mean = means[k - 1]
-        std = np.sqrt(np.diag(covs[k - 1]))
-        records.append(
-            AssimilationRecord(
-                step=k,
-                mean=mean,
-                std=std,
-                reference=run.states[k - 1],
-                observation=run.observations[k - 1],
-                metrics=gaussian_metrics(k, mean, std, run.states[k - 1]),
-            )
-        )
-    return records
+    """Exact Gaussian filtering records for a linear-Gaussian reference run.
 
+    The run is checked against ``A`` and ``H`` as :func:`run_filter` checks it.
+    """
+    _check_run(run, spec.state_dim, spec.H.shape[0])
+    means, covs = kalman_filter(spec, run.observations)
+    stds = np.sqrt(np.diagonal(covs, axis1=1, axis2=2))
+    return [
+        AssimilationRecord(step=k, mean=m, std=s, reference=x, observation=y,
+                           metrics=gaussian_metrics(k, m, s, x))
+        for k, (m, s, x, y) in enumerate(zip(means, stds, run.states, run.observations), 1)
+    ]

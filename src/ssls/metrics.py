@@ -8,6 +8,7 @@ score.  All functions are pure and permutation-invariant in the ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,6 @@ _COVERAGE_HI = 0.975
 # it; statistics.NormalDist().inv_cdf is one ulp off.
 _Z_HI = 1.959963984540054
 _SQRT_HALF = math.sqrt(0.5)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _norm_cdf(z: Array) -> Array:
@@ -35,7 +35,8 @@ def _norm_cdf(z: Array) -> Array:
     ``1 + erf(z / sqrt(2))`` would cancel.  Returns float64 of ``z``'s shape.
     """
     z = np.asarray(z, dtype=float)
-    return 0.5 * np.asarray(_erfc(-z * _SQRT_HALF), dtype=float)
+    erfc = [math.erfc(v) for v in (-z * _SQRT_HALF).ravel().tolist()]
+    return 0.5 * np.array(erfc).reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,49 @@ class MetricRow:
                 raise ValueError(f"{name} must be non-negative")
 
 
+def _mean(values: Array) -> float:
+    """``np.mean(values)`` as a float: the same sum and division."""
+    return float(np.add.reduce(values) / values.size)
+
+
+def _moments(ensemble: Array) -> tuple[Array, Array]:
+    """Per-dimension mean and unbiased variance of an ``(n, d)`` ensemble, by
+    the reductions of ``ndarray.mean`` and ``ndarray.var`` (bit-identical)."""
+    n = ensemble.shape[0]
+    mean = np.add.reduce(ensemble, axis=0) / n
+    dev = ensemble - mean
+    dev *= dev
+    return mean, np.add.reduce(dev, axis=0) / (n - 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _order_weights(n: int) -> tuple[tuple[tuple[int, float], ...], Array]:
+    """Type-7 ``(index, fraction)`` of both coverage bounds among ``n`` sorted
+    values (``np.quantile``'s virtual index ``(n - 1) q``), and CRPS weights:
+    for sorted values ``sum_ij |x_i - x_j| = 2 sum_k (2k - n + 1) x_(k)``."""
+    virtual = [(n - 1) * q for q in (_COVERAGE_LO, _COVERAGE_HI)]
+    ranks = (2.0 * np.arange(n) - n + 1.0)[:, None]
+    ranks.flags.writeable = False
+    return tuple((math.floor(v), v - math.floor(v)) for v in virtual), ranks
+
+
+def _checked_truth(ensemble: Array, truth: Array, min_particles: int, name: str) -> Array:
+    """``truth`` as a float array of the shape of one ``(n, d)`` ensemble row."""
+    truth = np.atleast_1d(np.asarray(truth, dtype=float))
+    if ensemble.shape[0] < min_particles:
+        raise ValueError(f"{name} needs at least {min_particles} particle(s)")
+    if truth.shape != ensemble.shape[1:]:
+        raise ValueError(f"dimension mismatch: {ensemble.shape[1:]} vs {truth.shape}")
+    return truth
+
+
 def rmse(ensemble_mean: Array, truth: Array) -> float:
     """Root mean squared error of a point estimate across dimensions."""
     ensemble_mean = np.atleast_1d(np.asarray(ensemble_mean, dtype=float))
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
     if ensemble_mean.shape != truth.shape:
         raise ValueError(f"dimension mismatch: {ensemble_mean.shape} vs {truth.shape}")
-    return float(np.sqrt(np.mean((ensemble_mean - truth) ** 2)))
+    return math.sqrt(_mean((ensemble_mean - truth) ** 2))
 
 
 def spread(ensemble: Array) -> float:
@@ -70,7 +107,22 @@ def spread(ensemble: Array) -> float:
     ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
     if ensemble.shape[0] < 2:
         raise ValueError("spread needs at least 2 particles")
-    return float(np.sqrt(np.mean(ensemble.var(axis=0, ddof=1))))
+    return math.sqrt(_mean(_moments(ensemble)[1]))
+
+
+def _lerp(a: Array, b: Array, t: float) -> Array:
+    """``a + (b - a) t``, from ``t >= 0.5`` as ``b - (b - a)(1 - t)``, like ``np.quantile``."""
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _coverage(ordered: Array, truth: Array) -> float:
+    (i, t), (j, u) = _order_weights(ordered.shape[0])[0]
+    covered = truth >= _lerp(ordered[i], ordered[i + 1], t)
+    covered &= truth <= _lerp(ordered[j], ordered[j + 1], u)
+    # NaNs sort last; np.quantile gives NaN bounds to any column that holds one.
+    covered &= ~np.isnan(ordered[-1])
+    return _mean(covered)
 
 
 def coverage(ensemble: Array, truth: Array) -> float:
@@ -79,13 +131,15 @@ def coverage(ensemble: Array, truth: Array) -> float:
     Intervals are the empirical 2.5% and 97.5% quantiles of each marginal.
     """
     ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
-    truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    if ensemble.shape[0] < 2:
-        raise ValueError("coverage needs at least 2 particles")
-    if ensemble.shape[1] != truth.shape[0]:
-        raise ValueError(f"dimension mismatch: {ensemble.shape[1]} vs {truth.shape[0]}")
-    lo, hi = np.quantile(ensemble, [_COVERAGE_LO, _COVERAGE_HI], axis=0)
-    return float(np.mean((truth >= lo) & (truth <= hi)))
+    truth = _checked_truth(ensemble, truth, 2, "coverage")
+    return _coverage(np.sort(ensemble, axis=0), truth)
+
+
+def _crps(samples: Array, ordered: Array, truth: Array) -> float:
+    n = samples.shape[0]
+    abs_error = np.add.reduce(np.abs(samples - truth), axis=0) / n
+    pair_sum = 2.0 * np.add.reduce(_order_weights(n)[1] * ordered, axis=0)
+    return _mean(abs_error - pair_sum / (2.0 * n * n))
 
 
 def crps(samples: Array, truth: Array) -> float:
@@ -105,19 +159,25 @@ def crps(samples: Array, truth: Array) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
-    n = samples.shape[0]
-    if n < 1:
-        raise ValueError("crps needs at least one sample")
-    truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    if samples.shape[1] != truth.shape[0]:
-        raise ValueError(f"dimension mismatch: {samples.shape[1]} vs {truth.shape[0]}")
+    truth = _checked_truth(samples, truth, 1, "crps")
+    return _crps(samples, np.sort(samples, axis=0), truth)
 
-    abs_error = np.mean(np.abs(samples - truth), axis=0)
-    # For sorted values, sum_ij |x_i - x_j| = 2 * sum_k (2k - n + 1) x_(k).
-    sorted_samples = np.sort(samples, axis=0)
-    ranks = 2.0 * np.arange(n) - n + 1.0
-    pair_sum = 2.0 * np.sum(ranks[:, None] * sorted_samples, axis=0)
-    return float(np.mean(abs_error - pair_sum / (2.0 * n * n)))
+
+def _gaussian_crps(mean: Array, std: Array, truth: Array) -> tuple[Array, Array, Array, float]:
+    """The checked ``(mean, std, truth)`` and the CRPS of :func:`crps_gaussian`."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    std = np.asarray(std, dtype=float)
+    if std.shape != mean.shape:
+        std = np.full(mean.shape, std)
+    truth = np.atleast_1d(np.asarray(truth, dtype=float))
+    if mean.shape != truth.shape:
+        raise ValueError(f"dimension mismatch: {mean.shape} vs {truth.shape}")
+    if (std <= 0).any():
+        raise ValueError("std must be positive")
+    z = (truth - mean) / std
+    phi = _INV_SQRT_2PI * np.exp(-0.5 * z**2)
+    score = _mean(std * (z * (2.0 * _norm_cdf(z) - 1.0) + 2.0 * phi - _INV_SQRT_PI))
+    return mean, std, truth, score
 
 
 def crps_gaussian(mean: Array, std: Array, truth: Array) -> float:
@@ -126,28 +186,18 @@ def crps_gaussian(mean: Array, std: Array, truth: Array) -> float:
     ``CRPS(N(m, s^2), y) = s * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi))``
     with ``z = (y - m) / s``.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape)
-    truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    if mean.shape != truth.shape:
-        raise ValueError(f"dimension mismatch: {mean.shape} vs {truth.shape}")
-    if np.any(std <= 0):
-        raise ValueError("std must be positive")
-    z = (truth - mean) / std
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * z**2)
-    return float(np.mean(std * (z * (2.0 * _norm_cdf(z) - 1.0) + 2.0 * phi - _INV_SQRT_PI)))
+    return _gaussian_crps(mean, std, truth)[3]
 
 
 def ensemble_metrics(step: int, ensemble: Array, truth: Array) -> MetricRow:
-    """All four metrics of an ensemble against a reference state."""
+    """All four metrics of an ensemble against a reference state, from one
+    check of the inputs, one mean and variance and one sort per column."""
     ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
-    return MetricRow(
-        step=step,
-        rmse=rmse(ensemble.mean(axis=0), truth),
-        spread=spread(ensemble),
-        coverage=coverage(ensemble, truth),
-        crps=crps(ensemble, truth),
-    )
+    truth = _checked_truth(ensemble, truth, 2, "ensemble_metrics")
+    mean, var = _moments(ensemble)
+    ordered = np.sort(ensemble, axis=0)
+    return MetricRow(step, rmse=math.sqrt(_mean((mean - truth) ** 2)), spread=math.sqrt(_mean(var)),
+                     coverage=_coverage(ordered, truth), crps=_crps(ensemble, ordered, truth))
 
 
 def gaussian_metrics(step: int, mean: Array, std: Array, truth: Array) -> MetricRow:
@@ -156,14 +206,7 @@ def gaussian_metrics(step: int, mean: Array, std: Array, truth: Array) -> Metric
     Spread is the root mean of the marginal variances; coverage checks the
     exact central 95% interval ``mean ± 1.96 std`` per dimension.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape)
-    truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    covered = np.mean(np.abs(truth - mean) <= _Z_HI * std)
-    return MetricRow(
-        step=step,
-        rmse=rmse(mean, truth),
-        spread=float(np.sqrt(np.mean(std**2))),
-        coverage=float(covered),
-        crps=crps_gaussian(mean, std, truth),
-    )
+    mean, std, truth, score = _gaussian_crps(mean, std, truth)
+    return MetricRow(step, rmse=math.sqrt(_mean((mean - truth) ** 2)),
+                     spread=math.sqrt(_mean(std**2)),
+                     coverage=_mean(np.abs(truth - mean) <= _Z_HI * std), crps=score)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssls import assimilator
 from ssls.assimilator import (
@@ -12,6 +14,7 @@ from ssls.assimilator import (
     predict,
 )
 from ssls.baselines import LinearGaussianSpec, kalman_filter, run_apf, run_enkf
+from ssls.metrics import ensemble_metrics
 from ssls.models import (
     ReferenceRun,
     make_double_well,
@@ -269,3 +272,25 @@ class TestInputChecks:
         run = ReferenceRun(states=np.zeros((2, 1)), observations=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="ensemble_size"):
             FILTERS[method](model, run, 1)
+
+
+class TestRecord:
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(2, 600),
+        d=st.sampled_from([1, 2, 20]),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mean_and_std_are_those_of_ndarray(self, n, d, scale, seed):
+        """A record's mean and std carry the bytes of ``ensemble.mean(axis=0)``
+        and ``ensemble.std(axis=0, ddof=1)``, and its metrics the row of
+        :func:`ensemble_metrics`."""
+        rng = np.random.default_rng(seed)
+        ensemble = 3.0 + scale * rng.standard_normal((n, d))
+        truth = rng.standard_normal((1, d))
+        run = ReferenceRun(states=truth, observations=np.zeros((1, d)))
+        record = assimilator._record(1, ensemble, run, False)
+        assert record.mean.tobytes() == ensemble.mean(axis=0).tobytes()
+        assert record.std.tobytes() == ensemble.std(axis=0, ddof=1).tobytes()
+        assert record.metrics == ensemble_metrics(1, ensemble, truth[0])

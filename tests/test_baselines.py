@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssls.assimilator import AssimilationError
 from ssls.baselines import (
@@ -168,6 +171,28 @@ class TestSystematicResample:
         counts = np.bincount(idx, minlength=30)
         assert np.all(np.abs(counts - n * weights) <= 1.0 + 1e-9)
 
+    @settings(max_examples=300)
+    @given(
+        raw=arrays(np.float64, st.integers(1, 40), elements=st.floats(0.0, 1.0)),
+        n=st.integers(1, 500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_are_floor_or_ceil_of_expectation(self, raw, n, seed):
+        """Index i is drawn floor(n w_i) or ceil(n w_i) times, in order.  The
+        weight CDF is a float cumulative sum, so a count may sit on the far
+        side of an exact boundary by rounding; 1e-9 allows for that."""
+        if raw.sum() == 0.0:
+            raw = np.ones_like(raw)
+        weights = raw / raw.sum()
+        idx = systematic_resample(weights, n, np.random.default_rng(seed))
+        assert idx.shape == (n,) and np.all(np.diff(idx) >= 0)
+        assert 0 <= idx.min() and idx.max() < weights.size
+        counts = np.bincount(idx, minlength=weights.size)
+        assert counts.sum() == n
+        expected = n * weights
+        assert np.all(counts >= np.floor(expected - 1e-9))
+        assert np.all(counts <= np.ceil(expected + 1e-9))
+
     def test_support_preserved(self):
         rng = np.random.default_rng(4)
         weights = rng.dirichlet(np.ones(8))
@@ -245,9 +270,24 @@ class TestDrivers:
         run = simulate_reference(model, 5, rng=np.random.default_rng(11))
         records = run_kalman(lg_spec(), run)
         assert [r.step for r in records] == [1, 2, 3, 4, 5]
-        means, _ = kalman_filter(lg_spec(), run.observations)
+        means, covs = kalman_filter(lg_spec(), run.observations)
         for r in records:
             assert r.mean[0] == pytest.approx(means[r.step - 1, 0])
+            assert r.std.tobytes() == np.sqrt(np.diag(covs[r.step - 1])).tobytes()
+
+    def test_run_kalman_checks_the_run(self):
+        """A NaN observation at step 3 is rejected before any work, as the
+        ensemble filters reject it, instead of giving NaN records from step 3 on."""
+        run = simulate_reference(make_linear_gaussian(), 5, rng=np.random.default_rng(15))
+        observations = run.observations.copy()
+        observations[2] = np.nan
+        with pytest.raises(ValueError, match="step 3: observation is not finite"):
+            run_kalman(lg_spec(), ReferenceRun(states=run.states, observations=observations))
+        one, two = np.zeros((3, 1)), np.zeros((3, 2))
+        with pytest.raises(ValueError, match="state width 2 does not match .* 1"):
+            run_kalman(lg_spec(), ReferenceRun(states=two, observations=one))
+        with pytest.raises(ValueError, match="observation width 2 does not match .* 1"):
+            run_kalman(lg_spec(), ReferenceRun(states=one, observations=two))
 
     def test_run_enkf_and_apf_shapes_and_determinism(self):
         model = make_linear_gaussian()

@@ -1,7 +1,12 @@
 """Verification metrics against hand values and independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr, ndtri
 
 from ssls.metrics import (
@@ -35,6 +40,177 @@ def crps_integral(samples, truth):
         heaviside = 1.0 if mid >= truth else 0.0
         total += (cdf - heaviside) ** 2 * (b - a)
     return total
+
+
+# -- reference formulas: np.quantile, ndarray moments, a separate sort --------
+
+
+def reference_ensemble_metrics(ensemble, truth):
+    """``(rmse, spread, coverage, crps)`` from ``ndarray.mean``/``var(ddof=1)``,
+    ``np.quantile`` and a separate sort."""
+    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
+    truth = np.atleast_1d(np.asarray(truth, dtype=float))
+    return (
+        float(np.sqrt(np.mean((ensemble.mean(axis=0) - truth) ** 2))),
+        float(np.sqrt(np.mean(ensemble.var(axis=0, ddof=1)))),
+        reference_coverage(ensemble, truth),
+        reference_crps(ensemble, truth),
+    )
+
+
+def reference_coverage(ensemble, truth):
+    lo, hi = np.quantile(ensemble, [0.025, 0.975], axis=0)
+    return float(np.mean((truth >= lo) & (truth <= hi)))
+
+
+def reference_crps(samples, truth):
+    samples = np.asarray(samples, dtype=float)
+    samples = samples[:, None] if samples.ndim == 1 else samples
+    n = samples.shape[0]
+    abs_error = np.mean(np.abs(samples - truth), axis=0)
+    ranks = 2.0 * np.arange(n) - n + 1.0
+    pair_sum = 2.0 * np.sum(ranks[:, None] * np.sort(samples, axis=0), axis=0)
+    return float(np.mean(abs_error - pair_sum / (2.0 * n * n)))
+
+
+_REFERENCE_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
+def reference_gaussian_metrics(mean, std, truth):
+    """``(rmse, spread, coverage, crps)`` of a Gaussian forecast, with
+    ``np.broadcast_to`` and an object-array ``erfc``."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    std = np.broadcast_to(np.asarray(std, dtype=float), mean.shape)
+    truth = np.atleast_1d(np.asarray(truth, dtype=float))
+    z = (truth - mean) / std
+    cdf = 0.5 * np.asarray(_REFERENCE_ERFC(-z * math.sqrt(0.5)), dtype=float)
+    phi = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * z**2)
+    crps_value = np.mean(std * (z * (2.0 * cdf - 1.0) + 2.0 * phi - 1.0 / np.sqrt(np.pi)))
+    return (
+        float(np.sqrt(np.mean((mean - truth) ** 2))),
+        float(np.sqrt(np.mean(std**2))),
+        float(np.mean(np.abs(truth - mean) <= _Z_HI * std)),
+        float(crps_value),
+    )
+
+
+def as_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def row_values(row):
+    return (row.rmse, row.spread, row.coverage, row.crps)
+
+
+@st.composite
+def ensembles(draw, n=st.integers(2, 1200)):
+    """An ``(n, d)`` ensemble and a truth: scaled normal draws, sometimes
+    rounded onto a grid (ties), with copied particles, and with the truth on a
+    particle, on a coverage bound or near the mean."""
+    n, d = draw(n), draw(st.sampled_from([1, 2, 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    ensemble = draw(st.floats(-1e3, 1e3)) + scale * rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        ensemble = np.round(ensemble / scale * 4.0) * scale / 4.0
+    copies = draw(st.integers(0, n - 1))
+    ensemble[rng.integers(n, size=copies)] = ensemble[rng.integers(n, size=copies)]
+    where = draw(st.sampled_from(["particle", "bound", "near"]))
+    if where == "particle":
+        truth = ensemble[draw(st.integers(0, n - 1))].copy()
+    elif where == "bound":
+        truth = np.quantile(ensemble, draw(st.sampled_from([0.025, 0.975])), axis=0)
+    else:
+        truth = ensemble.mean(axis=0) + 2.0 * scale * rng.standard_normal(d)
+    return ensemble, truth
+
+
+class TestAgainstReferenceFormulas:
+    """The one-sort metrics equal the reference formulas bit for bit."""
+
+    @settings(max_examples=150)
+    @given(case=ensembles())
+    def test_ensemble_metrics_and_public_scores(self, case):
+        ensemble, truth = case
+        want = reference_ensemble_metrics(ensemble, truth)
+        assert as_bytes(row_values(ensemble_metrics(4, ensemble, truth))) == as_bytes(want)
+        assert coverage(ensemble, truth) == want[2]
+        assert as_bytes([crps(ensemble, truth)]) == as_bytes([want[3]])
+        assert as_bytes([rmse(ensemble.mean(axis=0), truth), spread(ensemble)]) == as_bytes(
+            want[:2])
+
+    @settings(max_examples=60)
+    @given(
+        case=ensembles(n=st.just(1000)),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        row=st.integers(0, 999),
+        column=st.integers(0, 19),
+    )
+    def test_one_non_finite_particle(self, case, bad, row, column):
+        """At n=1000 the type-7 bounds read order statistics 24-25 and
+        974-975, so they miss the slot a NaN or an infinity sorts to; a column
+        holding a NaN still covers nothing, as with ``np.quantile``."""
+        ensemble, truth = case
+        ensemble[row, column % ensemble.shape[1]] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference_ensemble_metrics(ensemble, truth)
+            got = ensemble_metrics(1, ensemble, truth)
+            assert as_bytes(row_values(got)) == as_bytes(want)
+            assert coverage(ensemble, truth) == want[2]
+            assert as_bytes([crps(ensemble, truth)]) == as_bytes([want[3]])
+
+    def test_nan_column_covers_nothing_though_its_bounds_are_finite(self):
+        ensemble = np.linspace(-1.0, 1.0, 1000)[:, None]
+        ensemble[-1] = np.nan
+        assert np.isfinite(np.sort(ensemble, axis=0)[[24, 25, 974, 975]]).all()
+        assert coverage(ensemble, np.zeros(1)) == 0.0
+        assert coverage(ensemble[:-1], np.zeros(1)) == 1.0
+
+    @settings(max_examples=100)
+    @given(
+        samples=arrays(np.float64, st.integers(1, 50), elements=st.floats(-1e3, 1e3)),
+        truth=st.floats(-1e3, 1e3),
+    )
+    def test_one_dimensional_crps(self, samples, truth):
+        assert as_bytes([crps(samples, truth)]) == as_bytes([reference_crps(samples, truth)])
+
+    @settings(max_examples=100)
+    @given(case=ensembles(n=st.integers(2, 300)), seed=st.integers(0, 2**32 - 1))
+    def test_metric_row_is_permutation_invariant(self, case, seed):
+        """Coverage is exact; the sums behind the other scores may round
+        differently in another order, by far less than the tolerance."""
+        ensemble, truth = case
+        shuffled = ensemble[np.random.default_rng(seed).permutation(len(ensemble))]
+        a, b = ensemble_metrics(2, ensemble, truth), ensemble_metrics(2, shuffled, truth)
+        assert (a.step, a.coverage) == (b.step, b.coverage)
+        tol = 1e-11 * (1.0 + np.abs(ensemble).max() + np.abs(truth).max())
+        for name in ("rmse", "spread", "crps"):
+            assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-11, abs=tol)
+
+    @settings(max_examples=150)
+    @given(
+        d=st.sampled_from([1, 3]),
+        per_dimension=st.booleans(),
+        data=st.data(),
+    )
+    def test_gaussian_metrics_and_crps(self, d, per_dimension, data):
+        values = st.floats(-1e3, 1e3)
+        mean = data.draw(arrays(np.float64, d, elements=values))
+        truth = data.draw(arrays(np.float64, d, elements=values))
+        std_values = st.floats(1e-3, 1e3)
+        std = data.draw(arrays(np.float64, d, elements=std_values) if per_dimension
+                        else std_values)
+        want = reference_gaussian_metrics(mean, std, truth)
+        got = gaussian_metrics(3, mean, std, truth)
+        assert as_bytes(row_values(got)) == as_bytes(want)
+        assert as_bytes([crps_gaussian(mean, std, truth)]) == as_bytes([want[3]])
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, [1.0, 0.0, 2.0]])
+    def test_gaussian_std_must_be_positive(self, std):
+        for score in (lambda: gaussian_metrics(1, np.zeros(3), std, np.zeros(3)),
+                      lambda: crps_gaussian(np.zeros(3), std, np.zeros(3))):
+            with pytest.raises(ValueError, match="std must be positive"):
+                score()
 
 
 class TestRmse:

@@ -107,7 +107,7 @@ class TestLorenz96:
         with pytest.raises(ValueError):
             make_lorenz96(dim=3)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         z=arrays(np.float64, st.one_of(
             st.tuples(st.integers(1, 40)),
@@ -185,7 +185,7 @@ def test_dynamics_deterministic_given_zero_noise(name):
     assert np.array_equal(a, b)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     name=st.sampled_from(list(ALL_MODELS)),
     n=st.integers(1, 6),

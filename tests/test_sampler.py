@@ -108,7 +108,7 @@ CLIP_ELEMENTS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     v=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)),
              elements=CLIP_ELEMENTS),

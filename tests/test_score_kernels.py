@@ -35,9 +35,7 @@ HIDDEN = st.sampled_from([(), (4,), (128, 128)])
 DTYPE = st.sampled_from([np.float64, np.float32])
 ROWS = st.sampled_from([1, 116, 128, 500])
 SEEDS = st.integers(0, 2**32 - 1)
-KERNEL_SETTINGS = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+KERNEL_SETTINGS = settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 
 
 # -- reference implementation -------------------------------------------------
@@ -175,7 +173,7 @@ def test_gradient_written_into_flat_out():
     assert all(np.shares_memory(g, out) for g in w_grads + b_grads)
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=12, suppress_health_check=[HealthCheck.too_slow])
 @given(
     d=DIMS,
     hidden=HIDDEN,
