@@ -4,6 +4,8 @@ Four scores summarize how well a filtering ensemble matches the reference
 state at one time step: RMSE of the ensemble mean, ensemble spread, coverage
 of the central 95% marginal intervals, and the continuous ranked probability
 score.  All functions are pure and permutation-invariant in the ensemble.
+An ensemble is an ``(n, d)`` array of n particles, or a 1-D array of n
+samples of one dimension.
 """
 
 from __future__ import annotations
@@ -83,6 +85,16 @@ def _order_weights(n: int) -> tuple[tuple[tuple[int, float], ...], Array]:
     return tuple((math.floor(v), v - math.floor(v)) for v in virtual), ranks
 
 
+def _as_ensemble(ensemble: Array) -> Array:
+    """``ensemble`` as a float ``(n, d)`` array; a 1-D array is n samples of one dimension."""
+    ensemble = np.asarray(ensemble, dtype=float)
+    if ensemble.ndim == 1:
+        return ensemble[:, None]
+    if ensemble.ndim != 2:
+        raise ValueError(f"an ensemble must be 1-D or 2-D, got {ensemble.ndim}-D")
+    return ensemble
+
+
 def _checked_truth(ensemble: Array, truth: Array, min_particles: int, name: str) -> Array:
     """``truth`` as a float array of the shape of one ``(n, d)`` ensemble row."""
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
@@ -104,7 +116,7 @@ def rmse(ensemble_mean: Array, truth: Array) -> float:
 
 def spread(ensemble: Array) -> float:
     """Root mean trace of the (unbiased) ensemble covariance matrix."""
-    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
+    ensemble = _as_ensemble(ensemble)
     if ensemble.shape[0] < 2:
         raise ValueError("spread needs at least 2 particles")
     return math.sqrt(_mean(_moments(ensemble)[1]))
@@ -130,7 +142,7 @@ def coverage(ensemble: Array, truth: Array) -> float:
 
     Intervals are the empirical 2.5% and 97.5% quantiles of each marginal.
     """
-    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
+    ensemble = _as_ensemble(ensemble)
     truth = _checked_truth(ensemble, truth, 2, "coverage")
     return _coverage(np.sort(ensemble, axis=0), truth)
 
@@ -156,9 +168,7 @@ def crps(samples: Array, truth: Array) -> float:
     truth : float or ndarray of shape (d,)
         Verifying value.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
+    samples = _as_ensemble(samples)
     truth = _checked_truth(samples, truth, 1, "crps")
     return _crps(samples, np.sort(samples, axis=0), truth)
 
@@ -192,7 +202,7 @@ def crps_gaussian(mean: Array, std: Array, truth: Array) -> float:
 def ensemble_metrics(step: int, ensemble: Array, truth: Array) -> MetricRow:
     """All four metrics of an ensemble against a reference state, from one
     check of the inputs, one mean and variance and one sort per column."""
-    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
+    ensemble = _as_ensemble(ensemble)
     truth = _checked_truth(ensemble, truth, 2, "ensemble_metrics")
     mean, var = _moments(ensemble)
     ordered = np.sort(ensemble, axis=0)

@@ -130,25 +130,26 @@ class ReferenceRun:
 LINEAR_GAUSSIAN = {"A": 1.0, "Q": 5.0, "H": 1.0, "R": 0.2, "m0": 0.0, "P0": 1.0}
 
 
-def _fields(*functions) -> dict:
-    """``ModelSpec`` keyword arguments, one per function, keyed by its name."""
-    return {f.__name__: f for f in functions}
+def _gaussian_observation(obs_var: float, measure=lambda x: x, slope=lambda h: 1.0) -> dict:
+    """``ModelSpec`` callables for ``Y = h(X) + W`` with ``W ~ N(0, obs_var I)``.
 
-
-def _direct_observation(obs_var: float) -> dict:
-    """``ModelSpec`` callables for ``Y = X + W`` with ``W ~ N(0, obs_var I)``."""
+    ``measure`` is the coordinate-wise operator ``h`` and ``slope(h(x))``
+    its derivative at ``x``, written through ``h(x)``.  The defaults observe
+    the state directly; multiplying by their slope 1.0 changes no bit.
+    """
 
     def observation_mean(x):
-        return np.asarray(x, dtype=float)
+        return measure(np.asarray(x, dtype=float))
 
     def log_likelihood(x, y):
-        resid = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+        resid = np.asarray(y, dtype=float) - observation_mean(x)
         return -0.5 * np.sum(resid**2, axis=-1) / obs_var
 
     def log_likelihood_grad(x, y):
-        return (np.asarray(y, dtype=float) - np.asarray(x, dtype=float)) / obs_var
+        h = observation_mean(x)
+        return (np.asarray(y, dtype=float) - h) * slope(h) / obs_var
 
-    return _fields(observation_mean, log_likelihood, log_likelihood_grad)
+    return {f.__name__: f for f in (observation_mean, log_likelihood, log_likelihood_grad)}
 
 
 def make_linear_gaussian() -> ModelSpec:
@@ -179,7 +180,7 @@ def make_linear_gaussian() -> ModelSpec:
         initial_prior_sampler=reference_prior,
         reference_initial_sampler=reference_prior,
         obs_noise_std=float(np.sqrt(obs_var)),
-        **_direct_observation(obs_var),
+        **_gaussian_observation(obs_var),
     )
 
 
@@ -248,21 +249,9 @@ def make_double_well(
         return rng.standard_normal((n, 1))
 
     if measurement == "linear":
-        observation = _direct_observation(obs_var)
+        observation = _gaussian_observation(obs_var)
     else:
-
-        def observation_mean(x):
-            return np.exp(np.asarray(x, dtype=float) - gamma)
-
-        def log_likelihood(x, y):
-            resid = np.asarray(y, dtype=float) - observation_mean(x)
-            return -0.5 * np.sum(resid**2, axis=-1) / obs_var
-
-        def log_likelihood_grad(x, y):
-            h = observation_mean(x)
-            return (np.asarray(y, dtype=float) - h) * h / obs_var
-
-        observation = _fields(observation_mean, log_likelihood, log_likelihood_grad)
+        observation = _gaussian_observation(obs_var, lambda x: np.exp(x - gamma), lambda h: h)
 
     def initial(rng, n):
         return -1.0 + 0.15 * rng.standard_normal((n, 1))
@@ -386,7 +375,7 @@ def make_lorenz96(
         initial_prior_sampler=guess_prior,
         reference_initial_sampler=reference_prior,
         obs_noise_std=float(obs_noise_std),
-        **_direct_observation(obs_var),
+        **_gaussian_observation(obs_var),
     )
 
 

@@ -80,16 +80,19 @@ class AnnealPlan:
         self.betas = np.asarray(self.betas, dtype=float)
         if self.betas.ndim != 1 or self.betas.size < 1:
             raise ValueError("betas must be a non-empty 1-d array")
+        if not np.isfinite(self.betas).all():
+            raise ValueError("betas must be finite")
         if np.any(np.diff(self.betas) <= 0):
             raise ValueError("betas must be strictly increasing")
         if self.betas[0] <= 0 or self.betas[-1] != 1.0:
             raise ValueError("betas must lie in (0, 1] and end at exactly 1")
         if self.n_inner < 1:
             raise ValueError("n_inner must be at least 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        # Chained comparisons are False for NaN, so each also rejects NaN.
+        if not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
+        if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
+            raise ValueError("clip_norm must be positive and finite")
 
     @property
     def num_temperatures(self) -> int:

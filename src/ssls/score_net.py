@@ -110,14 +110,15 @@ class TrainConfig:
     hidden: tuple[int, ...] = (128, 128)
 
     def __post_init__(self):
-        if self.smoothing <= 0:
-            raise ValueError("smoothing level must be positive")
+        # Chained comparisons are False for NaN, so each also rejects NaN.
+        if not 0 < self.smoothing < np.inf:
+            raise ValueError("smoothing level must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be non-negative and finite")
         self.hidden = tuple(int(w) for w in self.hidden)
 
 
@@ -132,9 +133,8 @@ class ScoreNetwork:
     biases must all be float32 or all float64; the network computes in
     that dtype (see the module docstring).
 
-    The kernels write into a private workspace (see the module docstring).
-    It is left out of ``repr`` and equality, and :meth:`copy` starts the
-    copy with an empty one.
+    The kernels write into a private workspace (see the module docstring),
+    left out of ``repr`` and equality.
     """
 
     weights: list[Array]
@@ -198,16 +198,12 @@ class ScoreNetwork:
             acts.append(out)
         return acts
 
-    def raw(self, z: Array) -> Array:
-        """Evaluate the network in whitened coordinates, returning float64."""
-        z = np.asarray(z, dtype=self.dtype)
-        return self._kernel(z.reshape(-1, self.dim))[-1].reshape(z.shape).astype(float)
-
     def forward(self, x: Array) -> Array:
         """Score estimate at ``x`` in original coordinates.
 
         With ``z = (x - shift) / scale`` the density change of variables
-        under the diagonal affine map gives ``score(x) = raw(z) / scale``.
+        under the diagonal affine map gives ``score(x) = s(z) / scale``,
+        where ``s`` is the network in whitened coordinates.
         Accepts shape ``(d,)`` or ``(n, d)``; returns float64.
         """
         x = np.asarray(x, dtype=float)
@@ -221,14 +217,6 @@ class ScoreNetwork:
         with np.errstate(over="ignore"):
             np.divide(np.subtract(rows, self.shift), self.scale, out=z)
         return np.divide(self._kernel(z)[-1], self.scale).reshape(x.shape)
-
-    def copy(self) -> "ScoreNetwork":
-        return ScoreNetwork(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            shift=self.shift.copy(),
-            scale=self.scale.copy(),
-        )
 
 
 def whiten(ensemble: Array) -> tuple[Array, Array, Array]:
@@ -270,13 +258,24 @@ def _param_views(flat: Array, sizes: tuple[int, ...]) -> tuple[list[Array], list
     return weights, biases
 
 
-def _dsm_forward(
-    net: ScoreNetwork, batch: Array, smoothing: float, noise: Array
-) -> list[Array]:
-    """Check a score-matching batch and run the kernel on its perturbation.
+def dsm_loss_gradient(
+    net: ScoreNetwork, batch: Array, smoothing: float, noise: Array, out: Array | None = None
+) -> tuple[float, list[Array], list[Array]]:
+    """Denoising score-matching loss on a whitened batch and its exact gradient.
 
-    Returns the kernel's activations, with the network output overwritten
-    in place by the residual ``smoothing * out + noise``.
+    The loss is ``(1/m) * sum_i || smoothing * s(z_i + smoothing * eps_i) + eps_i ||^2``
+    over the ``m`` rows ``z_i`` of ``batch``, with one standard-normal draw
+    ``eps_i`` per row in ``noise``; ``s`` is the network in whitened
+    coordinates.  The gradient is taken with respect to every weight and
+    bias.  ``out``, when given, is a flat vector with one entry per
+    parameter that receives the gradient: every weight matrix, then every
+    bias, in layer order.
+
+    Returns
+    -------
+    (loss, weight_grads, bias_grads)
+        Gradient arrays match the shapes of ``net.weights`` / ``net.biases``
+        and are views into ``out``.
     """
     if smoothing <= 0:
         raise ValueError("smoothing level must be positive")
@@ -290,38 +289,10 @@ def _dsm_forward(
     np.multiply(noise, smoothing, out=perturbed)
     perturbed += batch
     acts = net._kernel(perturbed)
-    acts[-1] *= smoothing
-    acts[-1] += noise
-    return acts
-
-
-def dsm_loss(net: ScoreNetwork, batch: Array, smoothing: float, noise: Array) -> float:
-    """Empirical denoising score-matching loss on a whitened batch.
-
-    ``(1/m) * sum_i || smoothing * net.raw(z_i + smoothing * eps_i) + eps_i ||^2``
-    with one standard-normal draw per batch element.
-    """
-    resid = _dsm_forward(net, batch, smoothing, noise)[-1]
-    return float(np.mean(np.sum(resid**2, axis=1)))
-
-
-def dsm_loss_gradient(
-    net: ScoreNetwork, batch: Array, smoothing: float, noise: Array, out: Array | None = None
-) -> tuple[float, list[Array], list[Array]]:
-    """Loss and its exact gradient with respect to every weight and bias.
-
-    ``out``, when given, is a flat vector with one entry per parameter that
-    receives the gradient: every weight matrix, then every bias, in layer
-    order.
-
-    Returns
-    -------
-    (loss, weight_grads, bias_grads)
-        Gradient arrays match the shapes of ``net.weights`` / ``net.biases``
-        and are views into ``out``.
-    """
-    acts = _dsm_forward(net, batch, smoothing, noise)
+    # The residual smoothing * s(z + smoothing * eps) + eps, in place.
     delta = acts[-1]
+    delta *= smoothing
+    delta += noise
     m = delta.shape[0]
     loss = float(np.mean(np.sum(delta**2, axis=1)))
 

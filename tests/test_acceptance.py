@@ -30,7 +30,7 @@ from ssls.models import (
     simulate_reference,
 )
 from ssls.sampler import AnnealPlan, almc_update, make_schedule
-from ssls.score_net import TrainConfig, dsm_loss, dsm_loss_gradient, train_score
+from ssls.score_net import ScoreNetwork, TrainConfig, dsm_loss_gradient, train_score
 from ssls.metrics import crps
 
 LG_SPEC = dict(A=1.0, Q=5.0, H=1.0, R=0.2, m0=0.0, P0=1.0)
@@ -264,8 +264,6 @@ def test_criterion_08_oracle_and_property_suite(tmp_path):
         d = int(rng.integers(1, 4))
         hidden = tuple(rng.integers(2, 9, size=2))
         sizes = (d, *hidden, d)
-        from ssls.score_net import ScoreNetwork
-
         net = ScoreNetwork(
             weights=[rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
             biases=[rng.normal(size=o) for o in sizes[1:]],
@@ -281,12 +279,14 @@ def test_criterion_08_oracle_and_property_suite(tmp_path):
         h = 1e-5
 
         def loss_at(offset, net=net, batch=batch, noise=noise):
-            shifted = net.copy()
-            pos = 0
-            for arr in shifted.weights + shifted.biases:
-                arr += offset[pos : pos + arr.size].reshape(arr.shape)
+            # A new network with the parameters shifted by offset.
+            params, pos = [], 0
+            for arr in net.weights + net.biases:
+                params.append(arr + offset[pos : pos + arr.size].reshape(arr.shape))
                 pos += arr.size
-            return dsm_loss(shifted, batch, 0.5, noise)
+            layers = len(net.weights)
+            shifted = ScoreNetwork(params[:layers], params[layers:], net.shift, net.scale)
+            return dsm_loss_gradient(shifted, batch, 0.5, noise)[0]
 
         fd = (loss_at(h * direction) - loss_at(-h * direction)) / (2 * h)
         grad_ok &= abs(float(flat @ direction) - fd) <= 1e-4 * max(1.0, abs(fd))

@@ -213,6 +213,33 @@ class TestAgainstReferenceFormulas:
                 score()
 
 
+class TestEnsembleShapes:
+    """Every ensemble metric reads a 1-D array as n samples of one dimension."""
+
+    @pytest.mark.parametrize("truth", [0.3, np.array([0.3]), 5.0])
+    def test_one_dimensional_array_is_one_column(self, truth):
+        x = np.linspace(-1.0, 1.0, 10)
+        column = x[:, None]
+        assert coverage(x, truth) == coverage(column, truth)
+        assert spread(x) == spread(column) == pytest.approx(np.std(x, ddof=1))
+        assert crps(x, truth) == crps(column, truth)
+        assert ensemble_metrics(1, x, truth) == ensemble_metrics(1, column, truth)
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            lambda e: coverage(e, np.zeros(1)),
+            spread,
+            lambda e: crps(e, np.zeros(1)),
+            lambda e: ensemble_metrics(1, e, np.zeros(1)),
+        ],
+        ids=["coverage", "spread", "crps", "ensemble_metrics"],
+    )
+    def test_three_dimensional_ensemble_rejected(self, metric):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            metric(np.zeros((4, 1, 1)))
+
+
 class TestRmse:
     def test_zero_at_truth(self):
         assert rmse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0

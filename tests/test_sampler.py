@@ -52,6 +52,22 @@ class TestAnnealPlan:
         with pytest.raises(ValueError):
             AnnealPlan(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("betas", lambda v: {"betas": [0.5, v, 1.0]}),
+            ("betas", lambda v: {"betas": [v, 1.0]}),
+            ("step_size", lambda v: {"step_size": v}),
+            ("clip_norm", lambda v: {"clip_norm": v}),
+        ],
+        ids=["betas-middle", "betas-first", "step_size", "clip_norm"],
+    )
+    def test_non_finite_plans_rejected(self, name, make, value):
+        # A NaN clip_norm would switch the drift clip off: no norm exceeds it.
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            AnnealPlan(**make(value))
+
 
 class TestClipScore:
     def test_below_threshold_unchanged(self):

@@ -24,7 +24,6 @@ from ssls.score_net import (
     TrainConfig,
     _init_layers,
     _sigmoid,
-    dsm_loss,
     dsm_loss_gradient,
     train_score,
     whiten,
@@ -143,8 +142,10 @@ def test_forward_matches_reference(d, hidden, rows, dtype, seed):
     y = net.forward(x)
     assert y.dtype == np.float64
     assert np.array_equal(y, ref_forward(net, x))
+    # The same network with identity whitening evaluates in whitened coordinates.
     z = (x - net.shift) / net.scale
-    assert np.array_equal(net.raw(z), ref_forward_cached(net, z)[0])
+    plain = ScoreNetwork(net.weights, net.biases, np.zeros(d), np.ones(d))
+    assert np.array_equal(plain.forward(z), ref_forward_cached(net, z)[0])
 
 
 @KERNEL_SETTINGS
@@ -157,7 +158,6 @@ def test_loss_gradient_matches_reference(d, hidden, rows, dtype, seed):
     loss, w_grads, b_grads = dsm_loss_gradient(net, batch, 0.3, noise)
     ref_loss, ref_w, ref_b = ref_loss_gradient(net, batch, 0.3, noise)
     assert loss == ref_loss
-    assert dsm_loss(net, batch, 0.3, noise) == ref_loss
     assert_all_equal(w_grads, ref_w)
     assert_all_equal(b_grads, ref_b)
 
@@ -188,7 +188,8 @@ def test_training_matches_reference(d, hidden, n, warm, seed):
     if warm:
         init = train_score(ensemble, dataclasses.replace(config, epochs=1),
                            rng=np.random.default_rng(seed + 1))
-        init_copy = init.copy()
+        init_copy = ScoreNetwork([w.copy() for w in init.weights],
+                                 [b.copy() for b in init.biases], init.shift, init.scale)
     got = train_score(ensemble, config, init=init, rng=np.random.default_rng(seed + 2))
     want = ref_train(
         ensemble, config, init_copy if warm else None, np.random.default_rng(seed + 2)
@@ -232,9 +233,6 @@ def test_forward_results_do_not_alias():
     second = net.forward(x2)
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
-    raw1 = net.raw(x1)
-    raw2 = net.raw(x2)
-    assert not np.shares_memory(raw1, raw2)
 
 
 def test_in_place_weight_change_is_seen():
@@ -246,18 +244,6 @@ def test_in_place_weight_change_is_seen():
     after = net.forward(x)
     assert not np.array_equal(after, before)
     assert np.array_equal(after, ref_forward(net, x))
-
-
-def test_copy_gets_its_own_workspace():
-    net = random_network(3, (4,), 6)
-    x = np.random.default_rng(7).normal(size=(9, 3))
-    net.forward(x)
-    twin = net.copy()
-    twin.forward(x)
-    assert twin._work is not net._work
-    for a in net._work.values():
-        for b in twin._work.values():
-            assert not np.shares_memory(a, b)
 
 
 def test_workspace_kept_out_of_repr_and_equality():

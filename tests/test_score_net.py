@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssls.score_net import (
+    DEGENERATE_SCALE,
     ScoreNetwork,
     TrainConfig,
     TrainingDivergedError,
-    dsm_loss,
     dsm_loss_gradient,
     train_score,
     whiten,
@@ -32,6 +34,23 @@ def random_network(d, hidden, rng, scale=None, shift=None):
         shift=np.zeros(d) if shift is None else np.asarray(shift, dtype=float),
         scale=np.ones(d) if scale is None else np.asarray(scale, dtype=float),
     )
+
+
+def unwhitened(net):
+    """``net`` with identity whitening: its ``forward`` is the network in
+    whitened coordinates."""
+    return ScoreNetwork(net.weights, net.biases, np.zeros(net.dim), np.ones(net.dim))
+
+
+def shifted_network(net, offset):
+    """A new network whose parameters are ``net``'s plus ``offset``, laid out
+    as every weight matrix, then every bias, in layer order."""
+    params, pos = [], 0
+    for arr in net.weights + net.biases:
+        params.append(arr + offset[pos : pos + arr.size].reshape(arr.shape))
+        pos += arr.size
+    layers = len(net.weights)
+    return ScoreNetwork(params[:layers], params[layers:], net.shift, net.scale)
 
 
 def negation_network():
@@ -105,20 +124,55 @@ class TestWhiten:
         with pytest.raises(ValueError):
             whiten(np.array([[1.0]]))
 
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(2, 600),
+        # Per column: constant or not, log10 of its scale, and its offset.
+        columns=st.sampled_from([1, 3, 20]).flatmap(lambda d: st.lists(
+            st.tuples(st.booleans(), st.floats(-6.0, 6.0), st.floats(-1e3, 1e3)),
+            min_size=d, max_size=d,
+        )),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip(self, n, columns, seed):
+        """Columns of scale 1e-6 to 1e6, or constant, at offsets up to 1e3,
+        each with the four round-trip properties.  Constants stay at most
+        1e3 in magnitude: with d > 1 the column mean sums the rows one by
+        one, and at n=600 a constant from about 7e5 rounds off by more than
+        ``DEGENERATE_SCALE``, gets a tiny scale and whitens to +-1, not 0."""
+        constant = np.array([c for c, _, _ in columns])
+        spread = np.where(constant, 0.0, 10.0 ** np.array([e for _, e, _ in columns]))
+        loc = np.array([o for _, _, o in columns])
+        x = loc + spread * np.random.default_rng(seed).standard_normal((n, len(columns)))
+        z, shift, scale = whiten(x)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(z * scale + shift - x) <= 8 * eps * (np.abs(x) + np.abs(shift)))
+        degenerate = x.std(axis=0) < DEGENERATE_SCALE
+        assert degenerate[constant].all()
+        assert np.all(scale[degenerate] == 1.0)
+        assert np.array_equal(z[:, degenerate], x[:, degenerate] - shift[degenerate])
+        live = ~degenerate
+        # Rounding of the shift is amplified by offset / scale.
+        tol = 1e-12 * (1.0 + np.abs(x[:, live]).max(axis=0, initial=0.0) / scale[live])
+        assert np.all(np.abs(z[:, live].mean(axis=0)) <= tol)
+        assert np.all(np.abs(z[:, live].std(axis=0) - 1.0) <= tol)
+
 
 class TestForward:
-    def test_identity_whitening_equals_raw(self):
+    def test_identity_whitening_is_the_plain_network(self):
         rng = np.random.default_rng(2)
         net = random_network(2, (5,), rng)
         x = rng.normal(size=(7, 2))
-        assert np.allclose(net.forward(x), net.raw(x))
+        (w0, w1), (b0, b1) = net.weights, net.biases
+        hidden = 1.0 / (1.0 + np.exp(-(x @ w0.T + b0)))
+        assert np.allclose(net.forward(x), hidden @ w1.T + b1)
 
     def test_scale_chain_rule(self):
         rng = np.random.default_rng(3)
         net = random_network(1, (5,), rng, scale=[2.0])
         x = np.array([[0.8]])
         z = x / 2.0
-        assert np.allclose(net.forward(x), net.raw(z) / 2.0)
+        assert np.allclose(net.forward(x), unwhitened(net).forward(z) / 2.0)
 
     def test_zero_network_returns_zero(self):
         net = zero_network(3)
@@ -129,7 +183,7 @@ class TestForward:
         net = random_network(2, (6,), rng, shift=[1.0, -2.0], scale=[0.5, 3.0])
         x = rng.normal(size=(10, 2))
         direct = net.forward(x)
-        manual = net.raw((x - net.shift) / net.scale) / net.scale
+        manual = unwhitened(net).forward((x - net.shift) / net.scale) / net.scale
         assert np.allclose(direct, manual, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -141,43 +195,35 @@ class TestForward:
 class TestDsmLoss:
     def test_zero_network_single_sample(self):
         net = zero_network(2)
-        loss = dsm_loss(net, np.zeros((1, 2)), 1.0, np.array([[1.0, -1.0]]))
+        loss = dsm_loss_gradient(net, np.zeros((1, 2)), 1.0, np.array([[1.0, -1.0]]))[0]
         assert loss == pytest.approx(2.0)
 
     def test_zero_network_batch_reduces_to_noise_norm(self):
         rng = np.random.default_rng(5)
         net = zero_network(3)
         noise = rng.normal(size=(40, 3))
-        loss = dsm_loss(net, np.zeros((40, 3)), 0.7, noise)
+        loss = dsm_loss_gradient(net, np.zeros((40, 3)), 0.7, noise)[0]
         assert loss == pytest.approx(np.mean(np.sum(noise**2, axis=1)))
 
     def test_exact_kernel_score_gives_zero_loss(self):
         # s(z) = -(z - z0) is the exact score of the Gaussian kernel around
         # a single sample; the residual cancels for every noise draw.
         net = negation_network()
-        loss = dsm_loss(net, np.zeros((1, 1)), 1.0, np.array([[0.3]]))
+        loss = dsm_loss_gradient(net, np.zeros((1, 1)), 1.0, np.array([[0.3]]))[0]
         assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_empty_batch_rejected(self):
         net = zero_network(1)
         with pytest.raises(ValueError):
-            dsm_loss(net, np.zeros((0, 1)), 1.0, np.zeros((0, 1)))
+            dsm_loss_gradient(net, np.zeros((0, 1)), 1.0, np.zeros((0, 1)))
 
     def test_noise_shape_mismatch_rejected(self):
         net = zero_network(1)
         with pytest.raises(ValueError):
-            dsm_loss(net, np.zeros((2, 1)), 1.0, np.zeros((3, 1)))
+            dsm_loss_gradient(net, np.zeros((2, 1)), 1.0, np.zeros((3, 1)))
 
 
 class TestDsmLossGradient:
-    def test_matches_loss_value(self):
-        rng = np.random.default_rng(6)
-        net = random_network(2, (4,), rng)
-        batch = rng.normal(size=(3, 2))
-        noise = rng.normal(size=(3, 2))
-        loss, _, _ = dsm_loss_gradient(net, batch, 0.5, noise)
-        assert loss == pytest.approx(dsm_loss(net, batch, 0.5, noise))
-
     def test_finite_difference_oracle(self):
         """Directional derivatives match central differences to 1e-4."""
         rng = np.random.default_rng(7)
@@ -196,12 +242,7 @@ class TestDsmLossGradient:
             direction /= np.linalg.norm(direction)
 
             def loss_at(offset):
-                shifted = net.copy()
-                pos = 0
-                for arr in shifted.weights + shifted.biases:
-                    arr += offset[pos : pos + arr.size].reshape(arr.shape)
-                    pos += arr.size
-                return dsm_loss(shifted, batch, sigma, noise)
+                return dsm_loss_gradient(shifted_network(net, offset), batch, sigma, noise)[0]
 
             fd = (loss_at(h * direction) - loss_at(-h * direction)) / (2 * h)
             analytic = float(flat_grad @ direction)
@@ -332,7 +373,7 @@ class TestTrainScore:
         assert all(p.dtype == np.float32 for p in net.weights + net.biases)
         assert net.shift.dtype == net.scale.dtype == np.float64
         assert net.forward(ensemble).dtype == np.float64
-        assert net.raw(ensemble).dtype == np.float64
+        assert unwhitened(net).forward(ensemble).dtype == np.float64
 
     def test_nan_ensemble_raises(self):
         ensemble = np.random.default_rng(17).normal(size=(64, 1))
@@ -357,3 +398,12 @@ class TestTrainConfigValidation:
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["smoothing", "learning_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} .*finite"):
+            TrainConfig(**{name: value})
+
+    def test_zero_learning_rate_accepted(self):
+        assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
