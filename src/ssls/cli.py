@@ -10,7 +10,10 @@ Two commands are exposed::
 ``metrics.csv`` (one row of RMSE/spread/coverage/CRPS per step) and
 ``summary.csv`` (time-averaged metrics).  ``compare`` runs several methods
 against the *same* reference trajectory and writes one ``metrics_<m>.csv``
-per method plus a joined ``comparison.csv`` keyed by time step.  Every
+per method plus a joined ``comparison.csv`` keyed by time step.  Where the
+``fork`` start method exists, ``compare`` runs every method after the first
+in a forked worker process, at the same time as the first; the files are
+the same bytes as when the methods run one after another.  Every
 per-step table comes from :func:`write_csv`, which joins named column
 groups; a group written for each method has the suffix ``_<method>``.
 
@@ -65,7 +68,8 @@ one that the model factory, ``TrainConfig``, ``AnnealPlan``,
 reference run that the config sets diverges (a state or observation is not
 finite; the message names the first such step), found before the output
 directory is made.  It is 2 when a filter run fails (SSLS, EnKF or APF);
-the message on standard error names the failing step.
+the message on standard error names the failing step, and when several
+methods fail it is that of the first of them in the config's order.
 """
 
 import argparse
@@ -85,6 +89,7 @@ import numpy as np
 
 from . import baselines
 from .assimilator import AssimilationError, AssimilationRecord, SslsConfig, assimilate
+from .metrics import MetricRow
 from .models import (
     LINEAR_GAUSSIAN,
     ModelSpec,
@@ -305,6 +310,101 @@ def run_method(
     return baselines.run_kalman(baselines.LinearGaussianSpec(**LINEAR_GAUSSIAN), run)
 
 
+def _run_methods(run: ReferenceRun, cfg: ExperimentConfig,
+                 seeds: list[int]) -> dict[str, list[AssimilationRecord]]:
+    """Run each method of ``cfg`` with its seed over ``run``, in config order.
+
+    With two or more methods, every method after the first runs in a
+    forked worker process while the first runs here, so a ``compare`` round
+    costs its slowest method, not the sum of all of them.  Where ``fork`` is
+    not available the methods run one after another.  Either way the
+    records are the same, and so is the error raised: that of the first
+    method in config order that fails.
+    """
+    jobs = list(zip(cfg.methods, seeds))
+    if len(jobs) > 1:
+        import multiprocessing  # here, so that `import ssls` does not pay for it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_forked(jobs, run, cfg, multiprocessing.get_context("fork"))
+    return {method: run_method(method, run, cfg, seed) for method, seed in jobs}
+
+
+def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
+                fork) -> dict[str, list[AssimilationRecord]]:
+    """:func:`_run_methods` with one ``fork`` worker per job after the first.
+
+    Fork hands the workers the model's closures and the reference run
+    without pickling them.  OpenBLAS stops its thread pool when a process
+    forks, so the workers may call BLAS; Python 3.12+ may still warn that
+    forking a process that has threads (OpenBLAS's among them) can deadlock
+    the child.  When any method fails, the workers still running are
+    terminated; every worker is joined before this returns or raises.
+    """
+    workers = []
+    try:
+        for method, seed in jobs[1:]:
+            receive, send = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_work, args=(send, method, run, cfg, seed), daemon=True)
+            # A child flushes the stream buffers that it inherits when it
+            # exits; start() flushes sys.stdout and sys.stderr before it
+            # forks, so no text is printed twice.
+            worker.start()
+            send.close()  # the worker holds the only write end, so its exit ends the pipe
+            workers.append((method, worker, receive))
+        method, seed = jobs[0]
+        per_method = {method: run_method(method, run, cfg, seed)}
+        for method, worker, receive in workers:
+            per_method[method] = _receive(method, worker, receive, run)
+    except BaseException:
+        for _, worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for _, worker, receive in workers:
+            worker.join()
+            receive.close()
+    return per_method
+
+
+def _work(send, method: str, run: ReferenceRun, cfg: ExperimentConfig, seed: int) -> None:
+    """A worker's body: run one method and send back its records as three
+    arrays (means, stds and the metric columns), or its failure."""
+    try:
+        records = run_method(method, run, cfg, seed)
+    except AssimilationError as exc:
+        send.send(("failed", exc.step, str(exc)))
+    else:
+        send.send(("done", np.array([r.mean for r in records]), np.array([r.std for r in records]),
+                   np.array([[getattr(r.metrics, m) for m in METRICS] for r in records])))
+    send.close()
+
+
+def _receive(method: str, worker, receive, run: ReferenceRun) -> list[AssimilationRecord]:
+    """The records that ``worker`` sends for ``method``, rebuilt with the
+    rows of ``run``; re-raises the worker's ``AssimilationError``."""
+    try:
+        kind, *payload = receive.recv()
+    except EOFError:
+        kind = None
+    worker.join()  # a worker that has reported exits by itself, and is never terminated
+    if kind is None:
+        raise RuntimeError(f"the worker running {method!r} exited with code "
+                           f"{worker.exitcode} before it sent its records")
+    if kind == "failed":
+        step, message = payload
+        exc = AssimilationError(step, "")
+        exc.args = (message,)  # the worker's message, word for word
+        raise exc
+    means, stds, table = payload
+    return [
+        AssimilationRecord(step=k, mean=m, std=s, reference=x, observation=y,
+                           metrics=MetricRow(k, **dict(zip(METRICS, row))))
+        for k, (m, s, row, x, y) in enumerate(
+            zip(means, stds, table.tolist(), run.states, run.observations), 1)
+    ]
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -376,10 +476,8 @@ def _run(config_path, seed, out, compare: bool) -> Path:
                           "state or observation that is not finite")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_method = {
-        method: run_method(method, run, cfg, int(child.generate_state(1)[0]))
-        for method, child in zip(cfg.methods, method_root.spawn(len(cfg.methods)))
-    }
+    seeds = [int(child.generate_state(1)[0]) for child in method_root.spawn(len(cfg.methods))]
+    per_method = _run_methods(run, cfg, seeds)
     if compare:
         for method, records in per_method.items():
             write_csv(out_dir / f"metrics_{method}.csv", {method: records}, ["metrics"])

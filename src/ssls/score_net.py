@@ -119,7 +119,11 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be non-negative and finite")
-        self.hidden = tuple(int(w) for w in self.hidden)
+        widths = tuple(self.hidden)
+        if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w > 0
+                   for w in widths):
+            raise ValueError(f"hidden widths must be positive integers, got {widths}")
+        self.hidden = tuple(int(w) for w in widths)
 
 
 @dataclass
@@ -223,8 +227,9 @@ def whiten(ensemble: Array) -> tuple[Array, Array, Array]:
     """Normalize an ensemble to zero mean and unit per-dimension scale.
 
     Uses the population convention (denominator ``n``) for the standard
-    deviation.  Dimensions with scale below ``1e-8`` keep scale 1 so that
-    constant coordinates pass through unchanged.
+    deviation.  Dimensions whose values are all equal, or whose scale is
+    below ``1e-8``, keep scale 1 so that constant coordinates pass through
+    unchanged.
 
     Returns
     -------
@@ -237,7 +242,10 @@ def whiten(ensemble: Array) -> tuple[Array, Array, Array]:
         raise ValueError("whitening needs at least 2 particles")
     shift = ensemble.mean(axis=0)
     scale = ensemble.std(axis=0)
-    scale = np.where(scale < DEGENERATE_SCALE, 1.0, scale)
+    # A constant column's computed std is rounding error, which grows with
+    # its offset, so equal values are degenerate whatever that std is.
+    constant = (ensemble == ensemble[0]).all(axis=0)
+    scale = np.where(constant | (scale < DEGENERATE_SCALE), 1.0, scale)
     return (ensemble - shift) / scale, shift, scale
 
 

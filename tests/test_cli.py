@@ -5,6 +5,12 @@ import functools
 import hashlib
 import inspect
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,9 @@ FAST_SSLS = {
     "n_inner": 4,
     "step_size": 0.01,
 }
+
+# SSLS settings whose first Langevin update diverges.
+UNSTABLE_SSLS = dict(FAST_SSLS, n_temperatures=10, n_inner=20, step_size=5.0, clip_norm=None)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -211,8 +220,7 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     def test_assimilation_error_exit_two(self, tmp_path, capsys):
-        ssls = dict(FAST_SSLS, n_temperatures=10, n_inner=20, step_size=5.0, clip_norm=None)
-        path = write_config(tmp_path, ensemble_size=50, steps=1, ssls=ssls)
+        path = write_config(tmp_path, ensemble_size=50, steps=1, ssls=UNSTABLE_SSLS)
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "assimilation failed at step 1:" in err
@@ -230,6 +238,123 @@ class TestMain:
         path.write_text(json.dumps(raw))
         assert main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 0
         assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+def write_compare_config(tmp_path, methods, **overrides):
+    path = write_config(tmp_path, **overrides)
+    raw = json.loads(path.read_text())
+    del raw["method"]
+    raw["methods"] = methods
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes started while the test runs."""
+    processes = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy(process):
+        processes.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    return processes
+
+
+def no_fork(monkeypatch):
+    """Report ``fork`` as unavailable, as on Windows."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+
+def csv_bytes(out_dir):
+    return {f.name: f.read_bytes() for f in sorted(Path(out_dir).glob("*.csv"))}
+
+
+class TestCompareWorkers:
+    """``compare`` runs each method after the first in a forked worker."""
+
+    def test_worker_failure_reported_as_in_sequence(self, tmp_path, capsys, monkeypatch, started):
+        path = write_compare_config(tmp_path, ["kalman", "ssls"], ensemble_size=50, steps=1,
+                                    ssls=UNSTABLE_SSLS)
+        assert main(["compare", str(path)]) == 2
+        forked = capsys.readouterr().err
+        assert [p.exitcode for p in started] == [0]
+        assert multiprocessing.active_children() == []
+        assert csv_bytes(tmp_path / "out") == {}
+
+        no_fork(monkeypatch)
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err == forked
+        assert forked.startswith("assimilation failed at step 1:")
+        assert len(started) == 1
+
+    def test_failure_here_terminates_the_workers(self, tmp_path, capsys, monkeypatch, started):
+        run_method, here = cli.run_method, os.getpid()
+
+        def slow_enkf(method, *args):
+            if method == "enkf" and os.getpid() != here:
+                time.sleep(60)
+            return run_method(method, *args)
+
+        monkeypatch.setattr(cli, "run_method", slow_enkf)
+        path = write_compare_config(tmp_path, ["ssls", "enkf"], ensemble_size=50, steps=1,
+                                    ssls=UNSTABLE_SSLS)
+        assert main(["compare", str(path)]) == 2
+        assert "assimilation failed at step 1:" in capsys.readouterr().err
+        assert [p.exitcode for p in started] == [-signal.SIGTERM]
+        assert multiprocessing.active_children() == []
+        assert csv_bytes(tmp_path / "out") == {}
+
+    def test_worker_that_exits_without_records_is_named(self, tmp_path, monkeypatch, started):
+        run_method, here = cli.run_method, os.getpid()
+
+        def dying_apf(method, *args):
+            if method == "apf" and os.getpid() != here:
+                os._exit(3)
+            return run_method(method, *args)
+
+        monkeypatch.setattr(cli, "run_method", dying_apf)
+        path = write_compare_config(tmp_path, ["kalman", "enkf", "apf"])
+        with pytest.raises(RuntimeError, match="'apf' exited with code 3"):
+            compare_methods(path)
+        assert sorted(p.exitcode for p in started) == [0, 3]
+        assert multiprocessing.active_children() == []
+        assert csv_bytes(tmp_path / "out") == {}
+
+    def test_unflushed_text_is_printed_once(self, tmp_path):
+        path = write_compare_config(tmp_path, ["kalman", "enkf", "apf"])
+        code = (
+            "import sys\n"
+            "from ssls.cli import main\n"
+            "sys.stdout.write('out before compare; ')\n"
+            "sys.stderr.write('err before compare')\n"
+            f"sys.exit(main(['compare', {str(path)!r}]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"out before compare; wrote results to {tmp_path / 'out'}\n"
+        assert result.stderr == "err before compare"
+
+    def test_without_fork_the_same_csv_bytes(self, tmp_path, monkeypatch, started):
+        path = write_compare_config(tmp_path, ["kalman", "enkf", "apf"], steps=5)
+        forked = csv_bytes(compare_methods(path, out=str(tmp_path / "forked")))
+        assert len(started) == 2
+        no_fork(monkeypatch)
+        sequential = csv_bytes(compare_methods(path, out=str(tmp_path / "sequential")))
+        assert len(started) == 2
+        assert sorted(forked) == ["comparison.csv", "metrics_apf.csv", "metrics_enkf.csv",
+                                  "metrics_kalman.csv"]
+        assert forked == sequential
+
+    def test_run_starts_no_worker(self, tmp_path, started):
+        run_experiment(write_config(tmp_path, method="enkf"))
+        assert started == []
 
 
 # Each experiment's model factory, called as the config's `model` section

@@ -15,10 +15,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_import_loads_no_scipy():
-    """``import ssls, ssls.cli`` loads no third-party package but NumPy.
+    """``import ssls, ssls.cli`` loads no third-party package but NumPy, and
+    no ``multiprocessing``.
 
-    Every CLI run pays for its imports.  NumPy's Cython extensions register
-    runtime helper modules (``cython_runtime``, ``_cython_<version>``).
+    Every CLI run pays for its imports; only ``compare`` imports
+    ``multiprocessing``, when it starts its workers.  NumPy's Cython
+    extensions register runtime helper modules (``cython_runtime``,
+    ``_cython_<version>``).
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -29,17 +32,18 @@ def test_import_loads_no_scipy():
         "before = set(sys.modules)\n"
         "import ssls, ssls.cli\n"
         "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-        "print(' '.join(sorted(loaded - set(sys.stdlib_module_names))))\n"
+        "unwanted = (loaded - set(sys.stdlib_module_names)) | (loaded & {'multiprocessing'})\n"
+        "print(' '.join(sorted(unwanted)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    third_party = {
+    unwanted = {
         m for m in result.stdout.split()
         if m not in ("numpy", "ssls", "cython_runtime") and not m.startswith("_cython_")
     }
-    assert third_party == set()
+    assert unwanted == set()
 
 
 def test_scipy_is_not_a_runtime_dependency():

@@ -114,6 +114,16 @@ class TestWhiten:
         assert np.allclose(whitened, 0.0)
         assert scale[0] == 1.0
 
+    def test_constant_column_far_from_zero_uses_unit_scale(self):
+        """With d > 1 the column mean sums the rows one by one, so a constant
+        column's computed std is rounding error: 1.0012e-8 here, above
+        ``DEGENERATE_SCALE``.  Equal values are degenerate all the same."""
+        x = np.full((546, 3), 916706.2256204141)
+        assert (x.std(axis=0) > DEGENERATE_SCALE).all()
+        whitened, shift, scale = whiten(x)
+        assert np.all(scale == 1.0)
+        assert np.all(np.abs(whitened) <= 1e-6)
+
     def test_output_moments(self):
         rng = np.random.default_rng(1)
         whitened, _, _ = whiten(rng.normal(loc=3.0, scale=2.5, size=(500, 2)))
@@ -129,17 +139,14 @@ class TestWhiten:
         n=st.integers(2, 600),
         # Per column: constant or not, log10 of its scale, and its offset.
         columns=st.sampled_from([1, 3, 20]).flatmap(lambda d: st.lists(
-            st.tuples(st.booleans(), st.floats(-6.0, 6.0), st.floats(-1e3, 1e3)),
+            st.tuples(st.booleans(), st.floats(-6.0, 6.0), st.floats(-1e6, 1e6)),
             min_size=d, max_size=d,
         )),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_round_trip(self, n, columns, seed):
-        """Columns of scale 1e-6 to 1e6, or constant, at offsets up to 1e3,
-        each with the four round-trip properties.  Constants stay at most
-        1e3 in magnitude: with d > 1 the column mean sums the rows one by
-        one, and at n=600 a constant from about 7e5 rounds off by more than
-        ``DEGENERATE_SCALE``, gets a tiny scale and whitens to +-1, not 0."""
+        """Columns of scale 1e-6 to 1e6, or constant, at offsets up to 1e6,
+        each with the four round-trip properties."""
         constant = np.array([c for c, _, _ in columns])
         spread = np.where(constant, 0.0, 10.0 ** np.array([e for _, e, _ in columns]))
         loc = np.array([o for _, _, o in columns])
@@ -147,8 +154,7 @@ class TestWhiten:
         z, shift, scale = whiten(x)
         eps = np.finfo(float).eps
         assert np.all(np.abs(z * scale + shift - x) <= 8 * eps * (np.abs(x) + np.abs(shift)))
-        degenerate = x.std(axis=0) < DEGENERATE_SCALE
-        assert degenerate[constant].all()
+        degenerate = constant | (x.std(axis=0) < DEGENERATE_SCALE)
         assert np.all(scale[degenerate] == 1.0)
         assert np.array_equal(z[:, degenerate], x[:, degenerate] - shift[degenerate])
         live = ~degenerate
@@ -407,3 +413,12 @@ class TestTrainConfigValidation:
 
     def test_zero_learning_rate_accepted(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
+
+    @pytest.mark.parametrize("hidden", [(0,), (2.7,), (-3,), (16, 0), (True,), ("8",)])
+    def test_hidden_widths_must_be_positive_integers(self, hidden):
+        with pytest.raises(ValueError, match="hidden widths must be positive integers"):
+            TrainConfig(hidden=hidden)
+
+    def test_integer_hidden_widths_kept(self):
+        assert TrainConfig(hidden=[np.int64(16), 8]).hidden == (16, 8)
+        assert TrainConfig(hidden=()).hidden == ()
