@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .metrics import MetricRow, _moments, ensemble_metrics
-from .models import ModelSpec, ReferenceRun
+from .models import ModelSpec, ReferenceRun, _check_count
 from .sampler import AnnealPlan, NonFiniteEnsembleError, almc_update
 from .score_net import ScoreNetwork, TrainConfig, TrainingDivergedError, train_score
 
@@ -73,10 +73,9 @@ class SslsConfig:
     store_ensembles: bool = False
 
     def __post_init__(self):
-        if self.ensemble_size < 2:
-            raise ValueError("ensemble_size must be at least 2")
-        if self.init_epochs is not None and self.init_epochs < 1:
-            raise ValueError("init_epochs must be at least 1")
+        _check_count("ensemble_size", self.ensemble_size, 2)
+        if self.init_epochs is not None:
+            _check_count("init_epochs", self.init_epochs)
 
 
 @dataclass
@@ -132,17 +131,16 @@ def run_filter(
     Raises
     ------
     ValueError
-        Before any work, when ``ensemble_size < 2``, the run's state or
-        observation width differs from the model's, or an observation is
-        not finite (the message names the first such step).
+        Before any work, when ``ensemble_size`` is not an integer >= 2, the
+        run's state or observation width differs from the model's, or an
+        observation is not finite (the message names the first such step).
     AssimilationError
         When score training diverges, the ensemble becomes non-finite, the
         update raises ``FloatingPointError`` (the APF's weights are all
         zero), or the ensemble's mean, std or metrics are not finite; the
         failing step index is recorded on the exception.
     """
-    if ensemble_size < 2:
-        raise ValueError("ensemble_size must be at least 2")
+    _check_count("ensemble_size", ensemble_size, 2)
     _check_run(run, model.state_dim, model.obs_dim)
     rng = np.random.default_rng(seed)
     ensemble = model.initial_prior_sampler(rng, ensemble_size)

@@ -13,9 +13,11 @@ against the *same* reference trajectory and writes one ``metrics_<m>.csv``
 per method plus a joined ``comparison.csv`` keyed by time step.  Where the
 ``fork`` start method exists, ``compare`` runs every method after the first
 in a forked worker process, at the same time as the first; the files are
-the same bytes as when the methods run one after another.  Every
-per-step table comes from :func:`write_csv`, which joins named column
-groups; a group written for each method has the suffix ``_<method>``.
+the same bytes as when the methods run one after another.  Every per-step
+CSV comes from :func:`write_csv`, which joins named column groups of each
+method's table of arrays: ``mean``, ``std`` and ``metrics``, and the
+reference run's ``reference`` and ``observation``.  A group written for
+each method has the suffix ``_<method>``.
 
 Config schema (JSON object; unknown keys are rejected)::
 
@@ -82,14 +84,12 @@ import math
 import sys
 import typing
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines
 from .assimilator import AssimilationError, AssimilationRecord, SslsConfig, assimilate
-from .metrics import MetricRow
 from .models import (
     LINEAR_GAUSSIAN,
     ModelSpec,
@@ -310,16 +310,23 @@ def run_method(
     return baselines.run_kalman(baselines.LinearGaussianSpec(**LINEAR_GAUSSIAN), run)
 
 
+def _table(records: list[AssimilationRecord]) -> dict[str, np.ndarray]:
+    """A method's records as arrays, a row per step: ``mean``, ``std`` and ``metrics``."""
+    return {"mean": np.array([r.mean for r in records]),
+            "std": np.array([r.std for r in records]),
+            "metrics": np.array([[getattr(r.metrics, m) for m in METRICS] for r in records])}
+
+
 def _run_methods(run: ReferenceRun, cfg: ExperimentConfig,
-                 seeds: list[int]) -> dict[str, list[AssimilationRecord]]:
+                 seeds: list[int]) -> dict[str, dict[str, np.ndarray]]:
     """Run each method of ``cfg`` with its seed over ``run``, in config order.
 
     With two or more methods, every method after the first runs in a
     forked worker process while the first runs here, so a ``compare`` round
     costs its slowest method, not the sum of all of them.  Where ``fork`` is
-    not available the methods run one after another.  Either way the
-    records are the same, and so is the error raised: that of the first
-    method in config order that fails.
+    not available the methods run one after another.  Either way each
+    method's :func:`_table` is the same, and so is the error raised: that
+    of the first method in config order that fails.
     """
     jobs = list(zip(cfg.methods, seeds))
     if len(jobs) > 1:
@@ -327,11 +334,11 @@ def _run_methods(run: ReferenceRun, cfg: ExperimentConfig,
 
         if "fork" in multiprocessing.get_all_start_methods():
             return _run_forked(jobs, run, cfg, multiprocessing.get_context("fork"))
-    return {method: run_method(method, run, cfg, seed) for method, seed in jobs}
+    return {method: _table(run_method(method, run, cfg, seed)) for method, seed in jobs}
 
 
 def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
-                fork) -> dict[str, list[AssimilationRecord]]:
+                fork) -> dict[str, dict[str, np.ndarray]]:
     """:func:`_run_methods` with one ``fork`` worker per job after the first.
 
     Fork hands the workers the model's closures and the reference run
@@ -353,9 +360,9 @@ def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
             send.close()  # the worker holds the only write end, so its exit ends the pipe
             workers.append((method, worker, receive))
         method, seed = jobs[0]
-        per_method = {method: run_method(method, run, cfg, seed)}
+        tables = {method: _table(run_method(method, run, cfg, seed))}
         for method, worker, receive in workers:
-            per_method[method] = _receive(method, worker, receive, run)
+            tables[method] = _receive(method, worker, receive)
     except BaseException:
         for _, worker, _ in workers:
             worker.terminate()
@@ -364,25 +371,22 @@ def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
         for _, worker, receive in workers:
             worker.join()
             receive.close()
-    return per_method
+    return tables
 
 
 def _work(send, method: str, run: ReferenceRun, cfg: ExperimentConfig, seed: int) -> None:
-    """A worker's body: run one method and send back its records as three
-    arrays (means, stds and the metric columns), or its failure."""
+    """A worker's body: run one method and send back its :func:`_table`, or its failure."""
     try:
         records = run_method(method, run, cfg, seed)
     except AssimilationError as exc:
         send.send(("failed", exc.step, str(exc)))
     else:
-        send.send(("done", np.array([r.mean for r in records]), np.array([r.std for r in records]),
-                   np.array([[getattr(r.metrics, m) for m in METRICS] for r in records])))
+        send.send(("done", _table(records)))
     send.close()
 
 
-def _receive(method: str, worker, receive, run: ReferenceRun) -> list[AssimilationRecord]:
-    """The records that ``worker`` sends for ``method``, rebuilt with the
-    rows of ``run``; re-raises the worker's ``AssimilationError``."""
+def _receive(method: str, worker, receive) -> dict[str, np.ndarray]:
+    """The table that ``worker`` sends for ``method``; re-raises its ``AssimilationError``."""
     try:
         kind, *payload = receive.recv()
     except EOFError:
@@ -396,66 +400,50 @@ def _receive(method: str, worker, receive, run: ReferenceRun) -> list[Assimilati
         exc = AssimilationError(step, "")
         exc.args = (message,)  # the worker's message, word for word
         raise exc
-    means, stds, table = payload
-    return [
-        AssimilationRecord(step=k, mean=m, std=s, reference=x, observation=y,
-                           metrics=MetricRow(k, **dict(zip(METRICS, row))))
-        for k, (m, s, row, x, y) in enumerate(
-            zip(means, stds, table.tolist(), run.states, run.observations), 1)
-    ]
+    return payload[0]
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-# The column groups of a per-step table: each one's column-name stem (the
-# names themselves for "metrics") and how to read its values from a record.
-_GROUPS = {
-    "reference": ("ref", attrgetter("reference")),
-    "observation": ("obs", attrgetter("observation")),
-    "mean": ("mean", attrgetter("mean")),
-    "std": ("std", attrgetter("std")),
-    "metrics": (METRICS, attrgetter(*(f"metrics.{name}" for name in METRICS))),
-}
+# Each column group's column-name stem, or for "metrics" the names themselves.
+_STEMS = {"reference": "ref", "observation": "obs", "mean": "mean", "std": "std",
+          "metrics": METRICS}
 
 
-def write_csv(path: Path, per_method: dict[str, list[AssimilationRecord]],
-              shared, each=()) -> None:
+def write_csv(path: Path, tables: dict[str, dict[str, np.ndarray]], shared, each=()) -> None:
     """Write one row per step to ``path``: the step, the ``shared`` column
-    groups of the first method's records, then each method's ``each``
-    groups with the suffix ``_<method>``.  The groups are ``reference``,
+    groups of the first method's table, then each method's ``each`` groups
+    with the suffix ``_<method>``.  The groups are ``reference``,
     ``observation``, ``mean``, ``std`` and ``metrics``.
     """
-    first = next(iter(per_method.values()))
-    parts = [(first, shared, "")]
-    parts += [(records, each, f"_{method}") for method, records in per_method.items()]
-    header, readers = ["step"], []
-    for records, groups, suffix in parts:
+    first = next(iter(tables.values()))
+    parts = [(first, shared, "")] + [(table, each, f"_{m}") for m, table in tables.items()]
+    header, blocks = ["step"], []
+    for table, groups, suffix in parts:
         for group in groups:
-            stem, read = _GROUPS[group]
+            stem, block = _STEMS[group], table[group]
             if isinstance(stem, str):
-                stem = [f"{stem}_{i}" for i in range(len(read(records[0])))]
+                stem = [f"{stem}_{i}" for i in range(block.shape[1])]
             header += [name + suffix for name in stem]
-            readers.append((records, read))
+            blocks.append(block)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for k, record in enumerate(first):
-            row = [record.step]
-            for records, read in readers:
-                row += [_fmt(v) for v in read(records[k])]
-            writer.writerow(row)
+        for step, row in enumerate(np.hstack(blocks), 1):
+            writer.writerow([step, *map(_fmt, row.tolist())])
 
 
-def write_summary_csv(path: Path, per_method: dict[str, list[AssimilationRecord]]) -> None:
+def write_summary_csv(path: Path, tables: dict[str, dict[str, np.ndarray]]) -> None:
     """Write each method's time-averaged metrics to ``path``, one row per method."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", *METRICS])
-        for method, records in per_method.items():
-            means = [np.mean([getattr(r.metrics, metric) for r in records]) for metric in METRICS]
-            writer.writerow([method] + [_fmt(v) for v in means])
+        for method, table in tables.items():
+            # One column at a time: NumPy sums a 1-D array pairwise, but the
+            # rows of a 2-D block one by one along axis 0.
+            writer.writerow([method, *(_fmt(np.mean(column)) for column in table["metrics"].T)])
 
 
 def _run(config_path, seed, out, compare: bool) -> Path:
@@ -477,16 +465,18 @@ def _run(config_path, seed, out, compare: bool) -> Path:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [int(child.generate_state(1)[0]) for child in method_root.spawn(len(cfg.methods))]
-    per_method = _run_methods(run, cfg, seeds)
+    tables = _run_methods(run, cfg, seeds)
+    for table in tables.values():  # every table shares the reference run's own arrays
+        table.update(reference=run.states, observation=run.observations)
     if compare:
-        for method, records in per_method.items():
-            write_csv(out_dir / f"metrics_{method}.csv", {method: records}, ["metrics"])
-        write_csv(out_dir / "comparison.csv", per_method, ["reference"], ["mean", "std", "metrics"])
+        for method, table in tables.items():
+            write_csv(out_dir / f"metrics_{method}.csv", {method: table}, ["metrics"])
+        write_csv(out_dir / "comparison.csv", tables, ["reference"], ["mean", "std", "metrics"])
     else:
-        write_csv(out_dir / "trajectory.csv", per_method,
+        write_csv(out_dir / "trajectory.csv", tables,
                   ["reference", "observation", "mean", "std"])
-        write_csv(out_dir / "metrics.csv", per_method, ["metrics"])
-        write_summary_csv(out_dir / "summary.csv", per_method)
+        write_csv(out_dir / "metrics.csv", tables, ["metrics"])
+        write_summary_csv(out_dir / "summary.csv", tables)
     return out_dir
 
 

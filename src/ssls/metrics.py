@@ -3,9 +3,10 @@
 Four scores summarize how well a filtering ensemble matches the reference
 state at one time step: RMSE of the ensemble mean, ensemble spread, coverage
 of the central 95% marginal intervals, and the continuous ranked probability
-score.  All functions are pure and permutation-invariant in the ensemble.
-An ensemble is an ``(n, d)`` array of n particles, or a 1-D array of n
-samples of one dimension.
+score.  :func:`ensemble_metrics` and :func:`gaussian_metrics` give all four
+as a :class:`MetricRow`; :func:`crps` scores an ensemble of any size.  All
+are pure and permutation-invariant in the ensemble.  An ensemble is an
+``(n, d)`` array of n particles, or a 1-D array of n samples of one dimension.
 """
 
 from __future__ import annotations
@@ -85,66 +86,26 @@ def _order_weights(n: int) -> tuple[tuple[tuple[int, float], ...], Array]:
     return tuple((math.floor(v), v - math.floor(v)) for v in virtual), ranks
 
 
-def _as_ensemble(ensemble: Array) -> Array:
-    """``ensemble`` as a float ``(n, d)`` array; a 1-D array is n samples of one dimension."""
+def _checked(ensemble: Array, truth: Array, min_particles: int, name: str) -> tuple[Array, Array]:
+    """``ensemble`` as a float ``(n, d)`` array, a 1-D array being n samples of
+    one dimension, and ``truth`` as a float array of the shape of one row."""
     ensemble = np.asarray(ensemble, dtype=float)
     if ensemble.ndim == 1:
-        return ensemble[:, None]
+        ensemble = ensemble[:, None]
     if ensemble.ndim != 2:
         raise ValueError(f"an ensemble must be 1-D or 2-D, got {ensemble.ndim}-D")
-    return ensemble
-
-
-def _checked_truth(ensemble: Array, truth: Array, min_particles: int, name: str) -> Array:
-    """``truth`` as a float array of the shape of one ``(n, d)`` ensemble row."""
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
     if ensemble.shape[0] < min_particles:
         raise ValueError(f"{name} needs at least {min_particles} particle(s)")
     if truth.shape != ensemble.shape[1:]:
         raise ValueError(f"dimension mismatch: {ensemble.shape[1:]} vs {truth.shape}")
-    return truth
-
-
-def rmse(ensemble_mean: Array, truth: Array) -> float:
-    """Root mean squared error of a point estimate across dimensions."""
-    ensemble_mean = np.atleast_1d(np.asarray(ensemble_mean, dtype=float))
-    truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    if ensemble_mean.shape != truth.shape:
-        raise ValueError(f"dimension mismatch: {ensemble_mean.shape} vs {truth.shape}")
-    return math.sqrt(_mean((ensemble_mean - truth) ** 2))
-
-
-def spread(ensemble: Array) -> float:
-    """Root mean trace of the (unbiased) ensemble covariance matrix."""
-    ensemble = _as_ensemble(ensemble)
-    if ensemble.shape[0] < 2:
-        raise ValueError("spread needs at least 2 particles")
-    return math.sqrt(_mean(_moments(ensemble)[1]))
+    return ensemble, truth
 
 
 def _lerp(a: Array, b: Array, t: float) -> Array:
     """``a + (b - a) t``, from ``t >= 0.5`` as ``b - (b - a)(1 - t)``, like ``np.quantile``."""
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
-
-
-def _coverage(ordered: Array, truth: Array) -> float:
-    (i, t), (j, u) = _order_weights(ordered.shape[0])[0]
-    covered = truth >= _lerp(ordered[i], ordered[i + 1], t)
-    covered &= truth <= _lerp(ordered[j], ordered[j + 1], u)
-    # NaNs sort last; np.quantile gives NaN bounds to any column that holds one.
-    covered &= ~np.isnan(ordered[-1])
-    return _mean(covered)
-
-
-def coverage(ensemble: Array, truth: Array) -> float:
-    """Fraction of dimensions whose central 95% interval contains the truth.
-
-    Intervals are the empirical 2.5% and 97.5% quantiles of each marginal.
-    """
-    ensemble = _as_ensemble(ensemble)
-    truth = _checked_truth(ensemble, truth, 2, "coverage")
-    return _coverage(np.sort(ensemble, axis=0), truth)
 
 
 def _crps(samples: Array, ordered: Array, truth: Array) -> float:
@@ -168,13 +129,39 @@ def crps(samples: Array, truth: Array) -> float:
     truth : float or ndarray of shape (d,)
         Verifying value.
     """
-    samples = _as_ensemble(samples)
-    truth = _checked_truth(samples, truth, 1, "crps")
+    samples, truth = _checked(samples, truth, 1, "crps")
     return _crps(samples, np.sort(samples, axis=0), truth)
 
 
-def _gaussian_crps(mean: Array, std: Array, truth: Array) -> tuple[Array, Array, Array, float]:
-    """The checked ``(mean, std, truth)`` and the CRPS of :func:`crps_gaussian`."""
+def ensemble_metrics(step: int, ensemble: Array, truth: Array) -> MetricRow:
+    """All four metrics of an ensemble against a reference state, from one
+    check of the inputs, one mean and variance and one sort per column.
+
+    Spread is the root mean trace of the unbiased ensemble covariance.
+    Coverage is the fraction of dimensions whose central 95% interval, from
+    the empirical 2.5% and 97.5% quantiles of each marginal, holds the truth.
+    CRPS is that of :func:`crps`.
+    """
+    ensemble, truth = _checked(ensemble, truth, 2, "ensemble_metrics")
+    mean, var = _moments(ensemble)
+    ordered = np.sort(ensemble, axis=0)
+    (i, t), (j, u) = _order_weights(ordered.shape[0])[0]
+    covered = truth >= _lerp(ordered[i], ordered[i + 1], t)
+    covered &= truth <= _lerp(ordered[j], ordered[j + 1], u)
+    # NaNs sort last; np.quantile gives NaN bounds to any column that holds one.
+    covered &= ~np.isnan(ordered[-1])
+    return MetricRow(step, rmse=math.sqrt(_mean((mean - truth) ** 2)), spread=math.sqrt(_mean(var)),
+                     coverage=_mean(covered), crps=_crps(ensemble, ordered, truth))
+
+
+def gaussian_metrics(step: int, mean: Array, std: Array, truth: Array) -> MetricRow:
+    """Metric row for an exact Gaussian posterior (e.g. the Kalman filter).
+
+    Spread is the root mean of the marginal variances; coverage checks the
+    exact central 95% interval ``mean ± 1.96 std`` per dimension.  CRPS is
+    the closed form ``s (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi))`` with
+    ``z = (y - m) / s``, averaged over dimensions.
+    """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     std = np.asarray(std, dtype=float)
     if std.shape != mean.shape:
@@ -186,37 +173,7 @@ def _gaussian_crps(mean: Array, std: Array, truth: Array) -> tuple[Array, Array,
         raise ValueError("std must be positive")
     z = (truth - mean) / std
     phi = _INV_SQRT_2PI * np.exp(-0.5 * z**2)
-    score = _mean(std * (z * (2.0 * _norm_cdf(z) - 1.0) + 2.0 * phi - _INV_SQRT_PI))
-    return mean, std, truth, score
-
-
-def crps_gaussian(mean: Array, std: Array, truth: Array) -> float:
-    """Closed-form CRPS of a Gaussian forecast, averaged over dimensions.
-
-    ``CRPS(N(m, s^2), y) = s * (z (2 Phi(z) - 1) + 2 phi(z) - 1/sqrt(pi))``
-    with ``z = (y - m) / s``.
-    """
-    return _gaussian_crps(mean, std, truth)[3]
-
-
-def ensemble_metrics(step: int, ensemble: Array, truth: Array) -> MetricRow:
-    """All four metrics of an ensemble against a reference state, from one
-    check of the inputs, one mean and variance and one sort per column."""
-    ensemble = _as_ensemble(ensemble)
-    truth = _checked_truth(ensemble, truth, 2, "ensemble_metrics")
-    mean, var = _moments(ensemble)
-    ordered = np.sort(ensemble, axis=0)
-    return MetricRow(step, rmse=math.sqrt(_mean((mean - truth) ** 2)), spread=math.sqrt(_mean(var)),
-                     coverage=_coverage(ordered, truth), crps=_crps(ensemble, ordered, truth))
-
-
-def gaussian_metrics(step: int, mean: Array, std: Array, truth: Array) -> MetricRow:
-    """Metric row for an exact Gaussian posterior (e.g. the Kalman filter).
-
-    Spread is the root mean of the marginal variances; coverage checks the
-    exact central 95% interval ``mean ± 1.96 std`` per dimension.
-    """
-    mean, std, truth, score = _gaussian_crps(mean, std, truth)
     return MetricRow(step, rmse=math.sqrt(_mean((mean - truth) ** 2)),
                      spread=math.sqrt(_mean(std**2)),
-                     coverage=_mean(np.abs(truth - mean) <= _Z_HI * std), crps=score)
+                     coverage=_mean(np.abs(truth - mean) <= _Z_HI * std),
+                     crps=_mean(std * (z * (2.0 * _norm_cdf(z) - 1.0) + 2.0 * phi - _INV_SQRT_PI)))

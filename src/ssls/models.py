@@ -29,6 +29,19 @@ from numpy.random import Generator
 Array = np.ndarray
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer of at least ``least``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 @dataclass
 class ModelSpec:
     """A state-space model expressed as a bundle of callables.
@@ -229,16 +242,19 @@ def make_double_well(
     gamma : float
         Offset of the exponential measurement operator.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    # Chained comparisons are False for NaN, so each also rejects NaN.
+    if not 0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if not np.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     if measurement not in ("linear", "nonlinear"):
         raise ValueError(f"unknown measurement model {measurement!r}")
     if obs_noise_std is None:
         obs_noise_std = 0.1 if measurement == "linear" else 0.2
-    if obs_noise_std <= 0:
-        raise ValueError("obs_noise_std must be positive")
+    if not 0 < obs_noise_std < np.inf:
+        raise ValueError("obs_noise_std must be positive and finite")
     obs_var = obs_noise_std**2
 
     def dynamics(x, v):
@@ -337,14 +353,15 @@ def make_lorenz96(
         Number of deterministic steps used to reach the attractor when
         sampling reference initial states.
     """
-    if dim < 4:
-        raise ValueError("dim must be at least 4 for cyclic indexing")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if process_noise_std < 0:
-        raise ValueError("process_noise_std must be non-negative")
-    if obs_noise_std <= 0:
-        raise ValueError("obs_noise_std must be positive")
+    _check_count("dim", dim, 4)  # for cyclic indexing
+    if not np.isfinite(forcing):
+        raise ValueError("forcing must be finite")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if not 0 <= process_noise_std < np.inf:
+        raise ValueError("process_noise_std must be non-negative and finite")
+    if not 0 < obs_noise_std < np.inf:
+        raise ValueError("obs_noise_std must be positive and finite")
     obs_var = obs_noise_std**2
 
     def rhs(z):
@@ -404,10 +421,9 @@ def simulate_reference(
     rng : numpy.random.Generator
         Source of randomness; a fixed seed makes the run bit-reproducible.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if mutation_period is not None and mutation_period < 1:
-        raise ValueError("mutation_period must be at least 1")
+    _check_count("steps", steps)
+    if mutation_period is not None:
+        _check_count("mutation_period", mutation_period)
     if rng is None:
         rng = np.random.default_rng()
 

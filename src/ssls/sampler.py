@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
+from .models import _check_count
+
 Array = np.ndarray
 
 
@@ -46,8 +48,7 @@ def make_schedule(n_temperatures: int) -> Array:
     A single temperature gives ``[1.0]``, i.e. vanilla (non-annealed)
     Langevin Monte Carlo.
     """
-    if n_temperatures < 1:
-        raise ValueError("n_temperatures must be at least 1")
+    _check_count("n_temperatures", n_temperatures)
     betas = np.arange(1, n_temperatures + 1) / n_temperatures
     betas[-1] = 1.0
     return betas
@@ -86,8 +87,7 @@ class AnnealPlan:
             raise ValueError("betas must be strictly increasing")
         if self.betas[0] <= 0 or self.betas[-1] != 1.0:
             raise ValueError("betas must lie in (0, 1] and end at exactly 1")
-        if self.n_inner < 1:
-            raise ValueError("n_inner must be at least 1")
+        _check_count("n_inner", self.n_inner)
         # Chained comparisons are False for NaN, so each also rejects NaN.
         if not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")

@@ -48,6 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
+from .models import _check_count, _is_integer
+
 Array = np.ndarray
 
 # Per-dimension scales below this are treated as degenerate and left at 1.
@@ -113,15 +115,12 @@ class TrainConfig:
         # Chained comparisons are False for NaN, so each also rejects NaN.
         if not 0 < self.smoothing < np.inf:
             raise ValueError("smoothing level must be positive and finite")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        _check_count("epochs", self.epochs)
+        _check_count("batch_size", self.batch_size)
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be non-negative and finite")
         widths = tuple(self.hidden)
-        if not all(isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w > 0
-                   for w in widths):
+        if not all(_is_integer(w) and w > 0 for w in widths):
             raise ValueError(f"hidden widths must be positive integers, got {widths}")
         self.hidden = tuple(int(w) for w in widths)
 

@@ -759,3 +759,34 @@ def test_shortened_lorenz96_compare_writes_recorded_csvs(tmp_path):
     written = {f.name: hashlib.sha1(f.read_bytes()).hexdigest()
                for f in (tmp_path / "out").iterdir()}
     assert written == L96_COMPARE_SHA1
+
+
+# 300-step linear-Gaussian tables at n=20, recorded before the CLI wrote
+# per-method tables of arrays.  Past 8 values NumPy's pairwise sum and a
+# sequential sum can round differently, so these pins also fix the order in
+# which summary.csv's time averages are summed.
+LONG_RUN_SHA1 = {
+    "run": {
+        "metrics.csv": "b4b62766ed152269334ab162b418eafb9b57c761",
+        "summary.csv": "35c303fedfe1a832427ce1b5c8986e9d142a49f0",
+        "trajectory.csv": "56feb343cb88a7bb4ffa9fa0b422c9e640bb9bf9",
+    },
+    "compare": {
+        "comparison.csv": "f73f134e1c4909d269475721496387a48715b7de",
+        "metrics_enkf.csv": "74f9123fce506c90d77b0832e45dfcdfe9d05e6c",
+        "metrics_kalman.csv": "fb0d9f96c3686e0556fbb6f47b2d2d7ccbc332d3",
+    },
+}
+
+
+@pytest.mark.parametrize("command, methods", [("run", {"method": "enkf"}),
+                                              ("compare", {"methods": ["kalman", "enkf"]})])
+def test_long_linear_gaussian_run_writes_recorded_csvs(tmp_path, command, methods):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "linear_gaussian", "ensemble_size": 20,
+                                "steps": 300, "seed": 5, "out_dir": str(tmp_path / "out"),
+                                **methods}))
+    assert main([command, str(path)]) == 0
+    written = {f.name: hashlib.sha1(f.read_bytes()).hexdigest()
+               for f in (tmp_path / "out").iterdir()}
+    assert written == LONG_RUN_SHA1[command]

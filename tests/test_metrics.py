@@ -9,18 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import ndtr, ndtri
 
-from ssls.metrics import (
-    _Z_HI,
-    MetricRow,
-    _norm_cdf,
-    coverage,
-    crps,
-    crps_gaussian,
-    ensemble_metrics,
-    gaussian_metrics,
-    rmse,
-    spread,
-)
+from ssls.metrics import _Z_HI, MetricRow, _norm_cdf, crps, ensemble_metrics, gaussian_metrics
 from ssls.score_net import whiten
 
 
@@ -134,10 +123,7 @@ class TestAgainstReferenceFormulas:
         ensemble, truth = case
         want = reference_ensemble_metrics(ensemble, truth)
         assert as_bytes(row_values(ensemble_metrics(4, ensemble, truth))) == as_bytes(want)
-        assert coverage(ensemble, truth) == want[2]
         assert as_bytes([crps(ensemble, truth)]) == as_bytes([want[3]])
-        assert as_bytes([rmse(ensemble.mean(axis=0), truth), spread(ensemble)]) == as_bytes(
-            want[:2])
 
     @settings(max_examples=60)
     @given(
@@ -156,15 +142,14 @@ class TestAgainstReferenceFormulas:
             want = reference_ensemble_metrics(ensemble, truth)
             got = ensemble_metrics(1, ensemble, truth)
             assert as_bytes(row_values(got)) == as_bytes(want)
-            assert coverage(ensemble, truth) == want[2]
             assert as_bytes([crps(ensemble, truth)]) == as_bytes([want[3]])
 
     def test_nan_column_covers_nothing_though_its_bounds_are_finite(self):
         ensemble = np.linspace(-1.0, 1.0, 1000)[:, None]
         ensemble[-1] = np.nan
         assert np.isfinite(np.sort(ensemble, axis=0)[[24, 25, 974, 975]]).all()
-        assert coverage(ensemble, np.zeros(1)) == 0.0
-        assert coverage(ensemble[:-1], np.zeros(1)) == 1.0
+        assert ensemble_metrics(1, ensemble, np.zeros(1)).coverage == 0.0
+        assert ensemble_metrics(1, ensemble[:-1], np.zeros(1)).coverage == 1.0
 
     @settings(max_examples=100)
     @given(
@@ -203,14 +188,11 @@ class TestAgainstReferenceFormulas:
         want = reference_gaussian_metrics(mean, std, truth)
         got = gaussian_metrics(3, mean, std, truth)
         assert as_bytes(row_values(got)) == as_bytes(want)
-        assert as_bytes([crps_gaussian(mean, std, truth)]) == as_bytes([want[3]])
 
     @pytest.mark.parametrize("std", [0.0, -1.0, [1.0, 0.0, 2.0]])
     def test_gaussian_std_must_be_positive(self, std):
-        for score in (lambda: gaussian_metrics(1, np.zeros(3), std, np.zeros(3)),
-                      lambda: crps_gaussian(np.zeros(3), std, np.zeros(3))):
-            with pytest.raises(ValueError, match="std must be positive"):
-                score()
+        with pytest.raises(ValueError, match="std must be positive"):
+            gaussian_metrics(1, np.zeros(3), std, np.zeros(3))
 
 
 class TestEnsembleShapes:
@@ -220,85 +202,87 @@ class TestEnsembleShapes:
     def test_one_dimensional_array_is_one_column(self, truth):
         x = np.linspace(-1.0, 1.0, 10)
         column = x[:, None]
-        assert coverage(x, truth) == coverage(column, truth)
-        assert spread(x) == spread(column) == pytest.approx(np.std(x, ddof=1))
         assert crps(x, truth) == crps(column, truth)
         assert ensemble_metrics(1, x, truth) == ensemble_metrics(1, column, truth)
+        assert ensemble_metrics(1, x, truth).spread == pytest.approx(np.std(x, ddof=1))
 
     @pytest.mark.parametrize(
         "metric",
-        [
-            lambda e: coverage(e, np.zeros(1)),
-            spread,
-            lambda e: crps(e, np.zeros(1)),
-            lambda e: ensemble_metrics(1, e, np.zeros(1)),
-        ],
-        ids=["coverage", "spread", "crps", "ensemble_metrics"],
+        [lambda e: crps(e, np.zeros(1)), lambda e: ensemble_metrics(1, e, np.zeros(1))],
+        ids=["crps", "ensemble_metrics"],
     )
     def test_three_dimensional_ensemble_rejected(self, metric):
         with pytest.raises(ValueError, match="1-D or 2-D"):
             metric(np.zeros((4, 1, 1)))
 
 
+def point(estimate):
+    """A point estimate as an ensemble of two equal particles, whose mean is exact."""
+    return np.array([estimate, estimate])
+
+
 class TestRmse:
     def test_zero_at_truth(self):
-        assert rmse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert ensemble_metrics(1, point([1.0, 2.0]), np.array([1.0, 2.0])).rmse == 0.0
 
     def test_one_dimensional_error(self):
-        assert rmse(np.array([1.0]), np.array([0.0])) == 1.0
+        assert ensemble_metrics(1, point([1.0]), np.array([0.0])).rmse == 1.0
 
     def test_two_dimensional_hand_value(self):
-        assert rmse(np.array([1.0, 1.0]), np.array([0.0, 0.0])) == pytest.approx(1.0)
+        assert ensemble_metrics(1, point([1.0, 1.0]), np.zeros(2)).rmse == pytest.approx(1.0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            rmse(np.ones(2), np.ones(3))
+            ensemble_metrics(1, point(np.ones(2)), np.ones(3))
 
 
 class TestSpread:
     def test_constant_ensemble_has_zero_spread(self):
-        assert spread(np.full((5, 2), 3.0)) == 0.0
+        assert ensemble_metrics(1, np.full((5, 2), 3.0), np.zeros(2)).spread == 0.0
 
     def test_two_point_hand_value(self):
         # unbiased variance of {-1, 1} is 2
-        assert spread(np.array([[-1.0], [1.0]])) == pytest.approx(np.sqrt(2.0))
+        row = ensemble_metrics(1, np.array([[-1.0], [1.0]]), np.zeros(1))
+        assert row.spread == pytest.approx(np.sqrt(2.0))
 
     def test_duplicated_coordinates_match_univariate(self):
         rng = np.random.default_rng(0)
         column = rng.normal(size=(40, 1))
         doubled = np.hstack([column, column])
-        assert spread(doubled) == pytest.approx(spread(column))
+        assert ensemble_metrics(1, doubled, np.zeros(2)).spread == pytest.approx(
+            ensemble_metrics(1, column, np.zeros(1)).spread)
 
     def test_whitened_ensemble_population_factor(self):
         """Population-whitened data has unbiased spread sqrt(n / (n - 1))."""
         rng = np.random.default_rng(1)
         for n in (5, 20, 117):
             whitened, _, _ = whiten(rng.normal(size=(n, 3)))
-            assert spread(whitened) == pytest.approx(np.sqrt(n / (n - 1)))
+            row = ensemble_metrics(1, whitened, np.zeros(3))
+            assert row.spread == pytest.approx(np.sqrt(n / (n - 1)))
 
     def test_too_few_particles_rejected(self):
         with pytest.raises(ValueError):
-            spread(np.ones((1, 2)))
+            ensemble_metrics(1, np.ones((1, 2)), np.zeros(2))
 
 
 class TestCoverage:
     def test_truth_at_median_is_covered(self):
         ensemble = np.random.default_rng(2).normal(size=(200, 3))
         truth = np.median(ensemble, axis=0)
-        assert coverage(ensemble, truth) == 1.0
+        assert ensemble_metrics(1, ensemble, truth).coverage == 1.0
 
     def test_truth_far_outside_is_uncovered(self):
         ensemble = np.random.default_rng(3).normal(size=(200, 2))
-        assert coverage(ensemble, np.array([50.0, -50.0])) == 0.0
+        assert ensemble_metrics(1, ensemble, np.array([50.0, -50.0])).coverage == 0.0
 
     def test_partial_coverage_counts_dimensions(self):
         ensemble = np.random.default_rng(4).normal(size=(200, 2))
         truth = np.array([0.0, 99.0])
-        assert coverage(ensemble, truth) == 0.5
+        assert ensemble_metrics(1, ensemble, truth).coverage == 0.5
 
     def test_too_few_particles_rejected(self):
         with pytest.raises(ValueError):
-            coverage(np.ones((1, 1)), np.ones(1))
+            ensemble_metrics(1, np.ones((1, 1)), np.ones(1))
 
 
 class TestCrps:
@@ -348,19 +332,19 @@ class TestCrpsGaussian:
     def test_frozen_value_at_the_mean(self):
         # sigma * (2 phi(0) - 1/sqrt(pi)) for sigma=1, y=mean
         expected = 2.0 / np.sqrt(2.0 * np.pi) - 1.0 / np.sqrt(np.pi)
-        assert crps_gaussian(0.0, 1.0, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert gaussian_metrics(1, 0.0, 1.0, 0.0).crps == pytest.approx(expected, abs=1e-12)
 
     def test_matches_large_ensemble_estimate(self):
         rng = np.random.default_rng(9)
         samples = 1.5 + 0.7 * rng.standard_normal(200_000)
         truth = 2.1
-        assert crps_gaussian(1.5, 0.7, truth) == pytest.approx(
+        assert gaussian_metrics(1, 1.5, 0.7, truth).crps == pytest.approx(
             crps(samples, truth), abs=3e-3
         )
 
     def test_invalid_std_rejected(self):
         with pytest.raises(ValueError):
-            crps_gaussian(0.0, 0.0, 0.0)
+            gaussian_metrics(1, 0.0, 0.0, 0.0)
 
     def test_matches_scipy_closed_form(self):
         rng = np.random.default_rng(11)
@@ -370,7 +354,8 @@ class TestCrpsGaussian:
             z = (truth - mean) / std
             phi = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
             want = np.mean(std * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * phi - 1.0 / np.sqrt(np.pi)))
-            assert crps_gaussian(mean, std, truth) == pytest.approx(want, rel=3e-15, abs=0.0)
+            assert gaussian_metrics(1, mean, std, truth).crps == pytest.approx(
+                want, rel=3e-15, abs=0.0)
 
 
 class TestNormalCdf:
@@ -412,9 +397,9 @@ class TestMetricRows:
         truth = np.zeros(2)
         row = ensemble_metrics(3, ensemble, truth)
         assert row.step == 3
-        assert row.rmse == pytest.approx(rmse(ensemble.mean(0), truth))
-        assert row.spread == pytest.approx(spread(ensemble))
-        assert row.coverage == pytest.approx(coverage(ensemble, truth))
+        assert row.rmse == pytest.approx(np.sqrt(np.mean(ensemble.mean(0) ** 2)))
+        assert row.spread == pytest.approx(np.sqrt(np.mean(ensemble.var(0, ddof=1))))
+        assert row.coverage == pytest.approx(reference_coverage(ensemble, truth))
         assert row.crps == pytest.approx(crps(ensemble, truth))
 
     def test_gaussian_metrics_coverage_indicator(self):

@@ -1,5 +1,6 @@
 """Model definitions: hand-computed values, gradients, and simulation."""
 
+import functools
 from math import factorial
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ssls.assimilator import SslsConfig
+from ssls.baselines import run_enkf
 from ssls.models import (
     ReferenceRun,
     double_well_potential_grad,
@@ -19,6 +22,8 @@ from ssls.models import (
     shift_prior,
     simulate_reference,
 )
+from ssls.sampler import AnnealPlan, make_schedule
+from ssls.score_net import TrainConfig
 
 ALL_MODELS = {
     "linear_gaussian": lambda: make_linear_gaussian(),
@@ -273,3 +278,59 @@ class TestReferenceRun:
                 observations=np.zeros((3, 1)),
                 mutation_times=(4,),
             )
+
+
+# Each count of the library's settings, factories and runners, built from a
+# keyword argument.
+COUNTS = {
+    "TrainConfig.epochs": (TrainConfig, "epochs"),
+    "TrainConfig.batch_size": (TrainConfig, "batch_size"),
+    "AnnealPlan.n_inner": (AnnealPlan, "n_inner"),
+    "SslsConfig.ensemble_size": (SslsConfig, "ensemble_size"),
+    "SslsConfig.init_epochs": (SslsConfig, "init_epochs"),
+    "make_schedule.n_temperatures": (make_schedule, "n_temperatures"),
+    "make_lorenz96.dim": (make_lorenz96, "dim"),
+    "simulate_reference.steps": (
+        functools.partial(simulate_reference, make_linear_gaussian()), "steps"),
+    "simulate_reference.mutation_period": (
+        functools.partial(simulate_reference, make_linear_gaussian(), 3), "mutation_period"),
+    "run_enkf.ensemble_size": (
+        functools.partial(run_enkf, make_linear_gaussian(),
+                          simulate_reference(make_linear_gaussian(), 2)), "ensemble_size"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 5.0, True, "5"])
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_count_that_is_not_an_integer_rejected_where_built(count, value):
+    build, name = COUNTS[count]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        build(**{name: value})
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_numpy_integer_count_accepted(count):
+    build, name = COUNTS[count]
+    build(**{name: np.int64(5)})
+
+
+@pytest.mark.parametrize("factory, kwargs", [
+    (make_double_well, {"beta": np.nan}),
+    (make_double_well, {"beta": np.inf}),
+    (make_double_well, {"dt": np.inf}),
+    (make_double_well, {"dt": np.nan}),
+    (make_double_well, {"obs_noise_std": np.nan}),
+    (make_double_well, {"obs_noise_std": np.inf}),
+    (make_double_well, {"measurement": "nonlinear", "gamma": np.nan}),
+    (make_double_well, {"measurement": "nonlinear", "gamma": -np.inf}),
+    (make_lorenz96, {"dt": np.nan}),
+    (make_lorenz96, {"forcing": np.inf}),
+    (make_lorenz96, {"forcing": np.nan}),
+    (make_lorenz96, {"process_noise_std": np.nan}),
+    (make_lorenz96, {"process_noise_std": np.inf}),
+    (make_lorenz96, {"obs_noise_std": np.nan}),
+])
+def test_non_finite_model_parameter_rejected_where_built(factory, kwargs):
+    name = [k for k in kwargs if k != "measurement"][0]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        factory(**kwargs)

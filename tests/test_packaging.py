@@ -1,5 +1,6 @@
 """Packaging: the package needs only NumPy at run time (SciPy is a test
-oracle), and every name that the demos and the README use exists."""
+oracle), and every name that the demos, the benchmark and the README use
+exists."""
 
 import ast
 import importlib
@@ -57,9 +58,9 @@ def test_scipy_is_not_a_runtime_dependency():
 
 
 def _python_sources():
-    """Each demo script, and each ``python`` code block of the README."""
-    for path in sorted((ROOT / "demos").glob("*.py")):
-        yield path.name, path.read_text()
+    """Each demo and benchmark script, and each ``python`` code block of the README."""
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        yield f"{path.parent.name}/{path.name}", path.read_text()
     readme = (ROOT / "README.md").read_text()
     for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
         yield f"README.md block {i + 1}", block
