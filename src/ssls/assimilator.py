@@ -26,8 +26,8 @@ from numpy.random import Generator
 
 from .metrics import MetricRow, _moments, ensemble_metrics
 from .models import ModelSpec, ReferenceRun, _check_count
-from .sampler import AnnealPlan, NonFiniteEnsembleError, almc_update
-from .score_net import ScoreNetwork, TrainConfig, TrainingDivergedError, train_score
+from .sampler import AnnealPlan, almc_update
+from .score_net import ScoreNetwork, TrainConfig, train_score
 
 Array = np.ndarray
 
@@ -35,11 +35,15 @@ Array = np.ndarray
 class AssimilationError(RuntimeError):
     """A filter run failed at one step: training or sampling diverged, the
     APF's weights were all zero, or the posterior ensemble's mean, std or
-    metrics are not finite."""
+    metrics are not finite.  Its ``args`` are ``(step, message)``, so it
+    pickles as itself."""
 
     def __init__(self, step: int, message: str):
         self.step = step
-        super().__init__(f"assimilation failed at step {step}: {message}")
+        super().__init__(step, message)
+
+    def __str__(self) -> str:
+        return f"assimilation failed at step {self.step}: {self.args[1]}"
 
 
 @dataclass
@@ -135,10 +139,10 @@ def run_filter(
         run's state or observation width differs from the model's, or an
         observation is not finite (the message names the first such step).
     AssimilationError
-        When score training diverges, the ensemble becomes non-finite, the
-        update raises ``FloatingPointError`` (the APF's weights are all
-        zero), or the ensemble's mean, std or metrics are not finite; the
-        failing step index is recorded on the exception.
+        When a step raises ``FloatingPointError``: score training or the
+        Langevin update diverges, the APF's weights are all zero, or the
+        ensemble's mean, std or metrics are not finite.  The failing step
+        index is recorded on the exception.
     """
     _check_count("ensemble_size", ensemble_size, 2)
     _check_run(run, model.state_dim, model.obs_dim)
@@ -149,9 +153,9 @@ def run_filter(
         update = init if k == 1 else step
         try:
             ensemble = update(ensemble, model, run.observations[k - 1], rng)
-        except (TrainingDivergedError, NonFiniteEnsembleError, FloatingPointError) as exc:
+            records.append(_record(k, ensemble, run, store_ensembles))
+        except FloatingPointError as exc:
             raise AssimilationError(k, str(exc)) from exc
-        records.append(_record(k, ensemble, run, store_ensembles))
     return records
 
 
@@ -181,7 +185,7 @@ def _record(k: int, ensemble: Array, run: ReferenceRun, store: bool) -> Assimila
         metrics = ensemble_metrics(k, ensemble, run.states[k - 1])
     scores = (metrics.rmse, metrics.spread, metrics.crps)
     if not (np.isfinite(mean).all() and np.isfinite(std).all() and np.isfinite(scores).all()):
-        raise AssimilationError(k, "posterior ensemble mean, std or metrics are not finite")
+        raise FloatingPointError("posterior ensemble mean, std or metrics are not finite")
     return AssimilationRecord(
         step=k,
         mean=mean,

@@ -12,10 +12,11 @@ Two commands are exposed::
 against the *same* reference trajectory and writes one ``metrics_<m>.csv``
 per method plus a joined ``comparison.csv`` keyed by time step.  Where the
 ``fork`` start method exists, ``compare`` runs every method after the first
-in a forked worker process, at the same time as the first; the files are
-the same bytes as when the methods run one after another.  Every per-step
-CSV comes from :func:`write_csv`, which joins named column groups of each
-method's table of arrays: ``mean``, ``std`` and ``metrics``, and the
+in a forked worker process, at the same time as the first, and each worker
+sends back its method's table or its ``AssimilationError`` as itself; the
+files are the same bytes as when the methods run one after another.  Every
+per-step CSV comes from :func:`write_csv`, which joins named column groups
+of each method's table of arrays: ``mean``, ``std`` and ``metrics``, and the
 reference run's ``reference`` and ``observation``.  A group written for
 each method has the suffix ``_<method>``.
 
@@ -69,9 +70,11 @@ one that the model factory, ``TrainConfig``, ``AnnealPlan``,
 ``make_schedule`` or ``SslsConfig`` rejects.  It is also 1 when the
 reference run that the config sets diverges (a state or observation is not
 finite; the message names the first such step), found before the output
-directory is made.  It is 2 when a filter run fails (SSLS, EnKF or APF);
-the message on standard error names the failing step, and when several
-methods fail it is that of the first of them in the config's order.
+directory is made.  It is 2 when a filter run fails (SSLS, EnKF or APF):
+every failure inside a step is a ``FloatingPointError``, and the run raises
+it as one :class:`~ssls.assimilator.AssimilationError`, which pickles.  The
+message on standard error names the failing step, and when several methods
+fail it is that of the first of them in the config's order.
 """
 
 import argparse
@@ -324,22 +327,9 @@ def _run_methods(run: ReferenceRun, cfg: ExperimentConfig,
     With two or more methods, every method after the first runs in a
     forked worker process while the first runs here, so a ``compare`` round
     costs its slowest method, not the sum of all of them.  Where ``fork`` is
-    not available the methods run one after another.  Either way each
+    not available the methods run here one after another.  Either way each
     method's :func:`_table` is the same, and so is the error raised: that
     of the first method in config order that fails.
-    """
-    jobs = list(zip(cfg.methods, seeds))
-    if len(jobs) > 1:
-        import multiprocessing  # here, so that `import ssls` does not pay for it
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _run_forked(jobs, run, cfg, multiprocessing.get_context("fork"))
-    return {method: _table(run_method(method, run, cfg, seed)) for method, seed in jobs}
-
-
-def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
-                fork) -> dict[str, dict[str, np.ndarray]]:
-    """:func:`_run_methods` with one ``fork`` worker per job after the first.
 
     Fork hands the workers the model's closures and the reference run
     without pickling them.  OpenBLAS stops its thread pool when a process
@@ -348,9 +338,17 @@ def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
     the child.  When any method fails, the workers still running are
     terminated; every worker is joined before this returns or raises.
     """
+    jobs = list(zip(cfg.methods, seeds))
+    fork = None
+    if len(jobs) > 1:
+        import multiprocessing  # here, so that `import ssls` does not pay for it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+    here, forked = (jobs[:1], jobs[1:]) if fork else (jobs, [])
     workers = []
     try:
-        for method, seed in jobs[1:]:
+        for method, seed in forked:
             receive, send = fork.Pipe(duplex=False)
             worker = fork.Process(target=_work, args=(send, method, run, cfg, seed), daemon=True)
             # A child flushes the stream buffers that it inherits when it
@@ -359,8 +357,7 @@ def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
             worker.start()
             send.close()  # the worker holds the only write end, so its exit ends the pipe
             workers.append((method, worker, receive))
-        method, seed = jobs[0]
-        tables = {method: _table(run_method(method, run, cfg, seed))}
+        tables = {method: _table(run_method(method, run, cfg, seed)) for method, seed in here}
         for method, worker, receive in workers:
             tables[method] = _receive(method, worker, receive)
     except BaseException:
@@ -375,32 +372,28 @@ def _run_forked(jobs, run: ReferenceRun, cfg: ExperimentConfig,
 
 
 def _work(send, method: str, run: ReferenceRun, cfg: ExperimentConfig, seed: int) -> None:
-    """A worker's body: run one method and send back its :func:`_table`, or its failure."""
+    """A worker's body: send back the method's :func:`_table`, or its ``AssimilationError``."""
     try:
-        records = run_method(method, run, cfg, seed)
+        result = _table(run_method(method, run, cfg, seed))
     except AssimilationError as exc:
-        send.send(("failed", exc.step, str(exc)))
-    else:
-        send.send(("done", _table(records)))
+        result = exc
+    send.send(result)
     send.close()
 
 
 def _receive(method: str, worker, receive) -> dict[str, np.ndarray]:
     """The table that ``worker`` sends for ``method``; re-raises its ``AssimilationError``."""
     try:
-        kind, *payload = receive.recv()
+        result = receive.recv()
     except EOFError:
-        kind = None
+        result = None
     worker.join()  # a worker that has reported exits by itself, and is never terminated
-    if kind is None:
+    if result is None:
         raise RuntimeError(f"the worker running {method!r} exited with code "
                            f"{worker.exitcode} before it sent its records")
-    if kind == "failed":
-        step, message = payload
-        exc = AssimilationError(step, "")
-        exc.args = (message,)  # the worker's message, word for word
-        raise exc
-    return payload[0]
+    if isinstance(result, AssimilationError):
+        raise result
+    return result
 
 
 def _fmt(x) -> str:

@@ -308,8 +308,8 @@ def lorenz96_rhs(z: Array, forcing: float) -> Array:
 
 def rk4_step(rhs: Callable[[Array], Array], z: Array, dt: float) -> Array:
     """One classical fourth-order Runge-Kutta step of ``z' = rhs(z)``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     k1 = rhs(z)
     k2 = rhs(z + 0.5 * dt * k1)
     k3 = rhs(z + 0.5 * dt * k2)
@@ -354,6 +354,7 @@ def make_lorenz96(
         sampling reference initial states.
     """
     _check_count("dim", dim, 4)  # for cyclic indexing
+    _check_count("spinup_steps", spinup_steps, 0)
     if not np.isfinite(forcing):
         raise ValueError("forcing must be finite")
     if not 0 < dt < np.inf:

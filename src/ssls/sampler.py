@@ -30,18 +30,6 @@ from .models import _check_count
 Array = np.ndarray
 
 
-class NonFiniteEnsembleError(RuntimeError):
-    """A particle became NaN or infinite during Langevin updates."""
-
-    def __init__(self, temperature_index: int, iteration: int):
-        self.temperature_index = temperature_index
-        self.iteration = iteration
-        super().__init__(
-            f"non-finite particle at temperature {temperature_index}, "
-            f"inner iteration {iteration}"
-        )
-
-
 def make_schedule(n_temperatures: int) -> Array:
     """Linear inverse-temperature ladder ``beta_m = m / M``, ending at exactly 1.
 
@@ -140,8 +128,8 @@ def almc_update(
 
     Raises
     ------
-    NonFiniteEnsembleError
-        If any particle becomes non-finite; the exception records the
+    FloatingPointError
+        If any particle becomes non-finite; the message names the
         temperature index (1-based) and inner iteration.
     """
     z = np.array(predicted, dtype=float)
@@ -166,5 +154,7 @@ def almc_update(
             noise *= root_2h
             z += noise
             if not np.isfinite(z).all():
-                raise NonFiniteEnsembleError(m, ell)
+                raise FloatingPointError(
+                    f"non-finite particle at temperature {m}, inner iteration {ell}"
+                )
     return z

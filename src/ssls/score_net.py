@@ -79,10 +79,6 @@ def _sigmoid(t: Array) -> Array:
     return t
 
 
-class TrainingDivergedError(RuntimeError):
-    """Raised when score-matching training produces a non-finite loss."""
-
-
 @dataclass
 class TrainConfig:
     """Hyper-parameters for denoising score matching.
@@ -361,7 +357,7 @@ def train_score(
 
     Raises
     ------
-    TrainingDivergedError
+    FloatingPointError
         If the loss becomes non-finite at any minibatch.
     """
     if rng is None:
@@ -412,7 +408,7 @@ def train_score(
                 net, shuffled[start:stop], config.smoothing, noise[start:stop], out=grad
             )
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
+                raise FloatingPointError(
                     f"non-finite loss at epoch {epoch + 1}, batch offset {start}"
                 )
             t += 1

@@ -1,5 +1,7 @@
 """Assimilation driver: prediction, initial update, full sequential runs."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,13 @@ class TestAssimilate:
         with pytest.raises(AssimilationError, match="not finite") as excinfo:
             assimilate(model, run, cfg)
         assert excinfo.value.step == 1
+
+    def test_error_pickles_as_itself(self):
+        exc = AssimilationError(3, "boom")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is AssimilationError
+        assert back.step == 3
+        assert str(back) == str(exc) == "assimilation failed at step 3: boom"
 
     def test_warm_steps_start_from_the_previous_network(self, monkeypatch):
         """Each step after the first trains from the previous step's

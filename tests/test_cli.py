@@ -7,6 +7,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -597,6 +598,62 @@ def test_diverging_reference_run_names_the_first_bad_step(tmp_path, capsys, monk
     assert main(["run", str(path)]) == 1
     assert "step 3 has a state or observation that is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_LG = {"experiment": "linear_gaussian"}
+# Config files that load_config rejects before any simulation, with the error.
+INVALID_CONFIGS = {
+    "duplicate-methods": ("compare", dict(_LG, methods=["enkf", "enkf"]),
+                          "field 'methods': duplicate method names"),
+    "zero-steps": ("run", dict(_LG, method="enkf", steps=0), "field 'steps': must be at least 1"),
+    "zero-mutation-period": ("run", dict(_LG, method="enkf", mutation_period=0),
+                             "field 'mutation_period': must be at least 1"),
+    "model-not-an-object": ("run", dict(_LG, method="enkf", model=[1]),
+                            "field 'model': must be an object"),
+    "top-level-not-an-object": ("run", [1, 2], "top level must be a JSON object"),
+    "missing-experiment": ("run", {"method": "enkf"}, "field 'experiment' is required"),
+    "run-given-methods": ("run", dict(_LG, methods=["enkf", "apf"]),
+                          "field 'method': run takes a single method"),
+    "missing-method": ("run", _LG, "field 'method' is required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_config_exits_1_before_any_simulation(tmp_path, capsys, monkeypatch, case):
+    command, raw, message = INVALID_CONFIGS[case]
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_reference", lambda *args, **kw: simulated.append(args))
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+    assert simulated == []
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_cli_docstring_names_every_config_field():
+    """The schema in the ``ssls.cli`` docstring, the one copy of it written
+    by hand, names exactly the fields that load_config accepts."""
+    doc = cli.__doc__
+    schema = doc[doc.index("Config schema"):doc.index("The ``model`` section")]
+    ssls_start = schema.index('"ssls": {')
+    ssls_end = schema.index("}", ssls_start)
+    top = _parameters(cli.ExperimentConfig) | {"method", "ensemble_size"}
+    assert set(re.findall(r'^      "(\w+)":', schema, re.M)) == top
+    ssls = re.findall(r'"(\w+)":', schema[ssls_start + len('"ssls":'):ssls_end])
+    assert set(ssls) == set(_SSLS_CASES)
+
+    table = doc[doc.index("guess prior of the ensemble methods::"):]
+    table = table.split("\n\n")[1]
+    model_fields = {}
+    for line in table.splitlines():
+        names = re.findall(r"\w+", line)
+        if not line.startswith(" " * 5):  # a new experiment's row
+            experiment, names = names[0], names[1:]
+        model_fields.setdefault(experiment, set()).update(names)
+    assert model_fields == {e: set(cases["model"]) for e, cases in FIELD_CASES.items()}
 
 
 @pytest.mark.parametrize("value", ["x", 2.5, True, None, 1])

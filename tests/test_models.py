@@ -136,6 +136,19 @@ class TestLorenz96:
             x = model.dynamics(x, np.zeros(8))
             assert np.abs(x - 8.0).max() < 1e-12
 
+    def test_zero_process_noise_draws_nothing(self):
+        model = make_lorenz96(dim=8, process_noise_std=0.0)
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        noise = model.dynamics_noise_sampler(rng, 5)
+        assert noise.shape == (5, 8)
+        assert np.all(noise == 0.0)
+        assert rng.bit_generator.state == before
+
+    def test_negative_spinup_steps_rejected(self):
+        with pytest.raises(ValueError, match="^spinup_steps must be at least 0$"):
+            make_lorenz96(dim=8, spinup_steps=-3)
+
     def test_reference_initial_states_are_on_attractor(self):
         model = make_lorenz96(dim=8)
         z = model.reference_initial_sampler(np.random.default_rng(3), 2)
@@ -158,6 +171,11 @@ class TestRk4:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             rk4_step(lambda s: s, np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+            rk4_step(lambda s: s, np.array([1.0]), dt)
 
 
 @pytest.mark.parametrize("name", list(ALL_MODELS))
@@ -290,6 +308,7 @@ COUNTS = {
     "SslsConfig.init_epochs": (SslsConfig, "init_epochs"),
     "make_schedule.n_temperatures": (make_schedule, "n_temperatures"),
     "make_lorenz96.dim": (make_lorenz96, "dim"),
+    "make_lorenz96.spinup_steps": (make_lorenz96, "spinup_steps"),
     "simulate_reference.steps": (
         functools.partial(simulate_reference, make_linear_gaussian()), "steps"),
     "simulate_reference.mutation_period": (

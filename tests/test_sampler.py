@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from ssls.sampler import (
     AnnealPlan,
-    NonFiniteEnsembleError,
     almc_update,
     clip_score,
     make_schedule,
@@ -277,7 +276,9 @@ class TestAlmcUpdate:
     def test_non_finite_particles_abort_with_diagnostics(self):
         pred = np.zeros((3, 1))
         plan = AnnealPlan(betas=make_schedule(2), n_inner=3, step_size=0.01, clip_norm=None)
-        with pytest.raises(NonFiniteEnsembleError) as excinfo:
+        with pytest.raises(
+            FloatingPointError, match="^non-finite particle at temperature 1, inner iteration 0$"
+        ):
             almc_update(
                 pred,
                 lambda z: np.full_like(z, np.nan),
@@ -285,8 +286,6 @@ class TestAlmcUpdate:
                 plan,
                 np.random.default_rng(0),
             )
-        assert excinfo.value.temperature_index == 1
-        assert excinfo.value.iteration == 0
 
     def test_empty_ensemble_rejected(self):
         plan = AnnealPlan(betas=make_schedule(2), n_inner=1, step_size=0.01)
