@@ -36,7 +36,7 @@ Config schema (JSON object; unknown keys are rejected)::
       "ssls": {                    # SslsConfig, its TrainConfig and AnnealPlan
         "smoothing": float, "epochs": int, "batch_size": int,
         "learning_rate": float, "n_temperatures": int, "n_inner": int,
-        "step_size": float, "clip_norm": float|null,
+        "step_size": float,
         "init_epochs": int|null    # epochs of the first, cold-started step
       }
     }
@@ -55,9 +55,9 @@ guess prior of the ensemble methods::
 A field's kind, and whether it takes ``null``, is the annotation of the
 library parameter it sets.  An ``int`` field takes only a JSON integer, a
 ``float`` field an integer or a finite real; JSON booleans are not numbers.
-``null`` means no sign flips for ``mutation_period``, no drift clipping for
-``clip_norm``, ``epochs`` for ``init_epochs``, and 0.1 (linear) or 0.2
-(nonlinear) for the double wells' ``obs_noise_std``; no other field takes it.
+``null`` means no sign flips for ``mutation_period``, ``epochs`` for
+``init_epochs``, and 0.1 (linear) or 0.2 (nonlinear) for the double wells'
+``obs_noise_std``; no other field takes it.
 
 ``method: "kalman"`` is the exact-posterior oracle and is only valid for
 the linear-Gaussian experiment; it always uses the true reference prior, so
@@ -135,7 +135,7 @@ EXPERIMENTS = tuple(_MODELS)
 _SSLS_FIELDS = {
     TrainConfig: ("smoothing", "epochs", "batch_size", "learning_rate"),
     make_schedule: ("n_temperatures",),
-    AnnealPlan: ("n_inner", "step_size", "clip_norm"),
+    AnnealPlan: ("n_inner", "step_size"),
     SslsConfig: ("init_epochs",),
 }
 
@@ -241,8 +241,9 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
     """Parse and validate a JSON config file, and build its model and SSLS
     settings.
 
-    ``compare=True`` requires a ``methods`` list with at least two entries;
-    otherwise a single ``method`` is required.
+    ``compare=True`` requires a ``methods`` list with at least two entries
+    and rejects ``method``; otherwise a single ``method`` is required and
+    ``methods`` is rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -266,13 +267,16 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
     defaults = _EXPERIMENT_DEFAULTS[experiment]
 
     if compare:
+        if "method" in raw:
+            raise ConfigError("field 'method': compare takes a methods list "
+                              "(use the run command for a single method)")
         if "methods" not in raw or not isinstance(raw["methods"], list):
             raise ConfigError("field 'methods': compare needs a list of methods")
         methods = [str(m) for m in raw["methods"]]
         if len(methods) < 2:
             raise ConfigError("field 'methods': compare needs at least two methods")
     else:
-        if "methods" in raw and "method" not in raw:
+        if "methods" in raw:
             raise ConfigError("field 'method': run takes a single method "
                               "(use the compare command for a methods list)")
         if "method" not in raw:

@@ -127,7 +127,8 @@ class ReferenceRun:
                 f"states ({len(self.states)}) and observations "
                 f"({len(self.observations)}) must have equal length"
             )
-        if len(self.states) < 1:
+        # np.atleast_2d makes an empty 1-D array one step of zero width.
+        if self.states.size == 0:
             raise ValueError("a reference run needs at least one step")
         k = len(self.states)
         for t in self.mutation_times:

@@ -55,15 +55,11 @@ class AnnealPlan:
         Langevin iterations ``K`` per temperature.
     step_size : float
         Euler-Maruyama step size ``h``.
-    clip_norm : float, optional
-        Maximum L2 norm of the combined per-particle drift; ``None``
-        disables clipping.
     """
 
     betas: Array = field(default_factory=lambda: make_schedule(10))
     n_inner: int = 20
     step_size: float = 0.01
-    clip_norm: float | None = 100.0
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)
@@ -76,17 +72,16 @@ class AnnealPlan:
         if self.betas[0] <= 0 or self.betas[-1] != 1.0:
             raise ValueError("betas must lie in (0, 1] and end at exactly 1")
         _check_count("n_inner", self.n_inner)
-        # Chained comparisons are False for NaN, so each also rejects NaN.
+        # A chained comparison is False for NaN, so it also rejects NaN.
         if not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")
-        if self.clip_norm is not None and not 0 < self.clip_norm < np.inf:
-            raise ValueError("clip_norm must be positive and finite")
 
     @property
     def num_temperatures(self) -> int:
         return self.betas.size
 
 
+# No sampler step calls this; the benchmark's tracer (bench/tracing.py) wraps it.
 def clip_score(v: Array, max_norm: float) -> Array:
     """Rescale vectors whose L2 norm exceeds ``max_norm``; direction kept.
 
@@ -121,10 +116,9 @@ def almc_update(
 
     Starting from the predicted particles, runs ``plan.n_inner``
     Euler-Maruyama steps at each inverse temperature with drift
-    ``beta_m * grad_loglik_fn(z) + score_fn(z)`` (clipped to
-    ``plan.clip_norm`` when configured), carrying the final particles of one
-    temperature into the next.  Returns an ensemble of the same size
-    approximating the posterior.
+    ``beta_m * grad_loglik_fn(z) + score_fn(z)``, carrying the final
+    particles of one temperature into the next.  Returns an ensemble of the
+    same size approximating the posterior.
 
     Raises
     ------
@@ -144,11 +138,7 @@ def almc_update(
             # z <- (z + h * drift) + sqrt(2h) * noise, drift = beta * grad + score
             np.multiply(grad_loglik_fn(z), beta, out=drift_buf)
             drift_buf += score_fn(z)
-            drift = drift_buf
-            if plan.clip_norm is not None:
-                # drift_buf itself unless some row was clipped.
-                drift = clip_score(drift, plan.clip_norm)
-            np.multiply(drift, h, out=drift_buf)
+            drift_buf *= h
             z += drift_buf
             rng.standard_normal(out=noise)
             noise *= root_2h

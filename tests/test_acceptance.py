@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest -s`` to see them live).
 
-The heavy scenario runs (double-well mutations, Lorenz-96 trends) take a few
-minutes each; the whole module runs in roughly twenty minutes on two cores.
+The heavy scenario runs (criteria 3-5: double-well mutations, the exponential
+measurement, Lorenz-96 trends) take about a minute each; the whole module
+runs in about four minutes on two shared cores.
 """
 
 import json

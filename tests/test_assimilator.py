@@ -1,5 +1,6 @@
 """Assimilation driver: prediction, initial update, full sequential runs."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -196,14 +197,14 @@ class TestAssimilate:
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_diverged_ensemble_with_finite_particles_fails(self, seed):
-        # Step size 5 without clipping: particles reach ~1e199, so none is
+        # Step size 5: particles reach ~1e199, so none is
         # inf or NaN, but the ensemble std overflows.
         model = make_linear_gaussian()
         run = simulate_reference(model, 1, rng=np.random.default_rng(seed))
         cfg = light_config(n=50, seed=seed)
         cfg.train = TrainConfig(smoothing=0.1, epochs=4, batch_size=32)
         cfg.init_epochs = 6
-        cfg.plan = AnnealPlan(step_size=5.0, clip_norm=None)
+        cfg.plan = AnnealPlan(step_size=5.0)
         with pytest.raises(AssimilationError, match="not finite") as excinfo:
             assimilate(model, run, cfg)
         assert excinfo.value.step == 1
@@ -303,3 +304,9 @@ class TestRecord:
         assert record.mean.tobytes() == ensemble.mean(axis=0).tobytes()
         assert record.std.tobytes() == ensemble.std(axis=0, ddof=1).tobytes()
         assert record.metrics == ensemble_metrics(1, ensemble, truth[0])
+
+    def test_mean_and_std_widths_must_match(self):
+        run = ReferenceRun(states=np.zeros((1, 2)), observations=np.zeros((1, 2)))
+        record = assimilator._record(1, np.eye(2), run, False)
+        with pytest.raises(ValueError, match="mean and std must have the same dimension"):
+            dataclasses.replace(record, std=np.ones(3))

@@ -62,6 +62,24 @@ class TestKalman:
         mean, _ = kalman_step(np.array([3.0]), np.array([[1.0]]), spec, np.array([3.0]))
         assert mean[0] == pytest.approx(3.0)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"Q": np.eye(2)}, "A, Q, P0 must be square"),
+            ({"H": [[1.0, 0.0]]}, "H and R have inconsistent shapes"),
+            ({"R": np.eye(2)}, "H and R have inconsistent shapes"),
+            ({"m0": [0.0, 0.0]}, "m0 has the wrong dimension"),
+            ({"Q": [[1.0, 0.5], [0.0, 1.0]], "A": np.eye(2), "P0": np.eye(2),
+              "H": [[1.0, 0.0]], "m0": [0.0, 0.0]}, "Q must be symmetric"),
+            ({"R": -1.0}, "R must be positive semi-definite"),
+        ],
+        ids=["square", "H-width", "R-shape", "m0", "symmetric", "psd"],
+    )
+    def test_inconsistent_spec_rejected(self, changes, message):
+        matrices = dict(A=1.0, Q=5.0, H=1.0, R=0.2, m0=0.0, P0=1.0) | changes
+        with pytest.raises(ValueError, match=message):
+            LinearGaussianSpec(**matrices)
+
     def test_covariance_stays_symmetric_psd(self):
         spec = LinearGaussianSpec(
             A=[[0.9, 0.1], [0.0, 0.8]],

@@ -41,7 +41,7 @@ FAST_SSLS = {
 }
 
 # SSLS settings whose first Langevin update diverges.
-UNSTABLE_SSLS = dict(FAST_SSLS, n_temperatures=10, n_inner=20, step_size=5.0, clip_norm=None)
+UNSTABLE_SSLS = dict(FAST_SSLS, n_temperatures=10, n_inner=20, step_size=5.0)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -401,8 +401,7 @@ def ssls_settings(ssls):
     return {
         "smoothing": train.smoothing, "epochs": train.epochs, "batch_size": train.batch_size,
         "learning_rate": train.learning_rate, "n_temperatures": plan.num_temperatures,
-        "n_inner": plan.n_inner, "step_size": plan.step_size, "clip_norm": plan.clip_norm,
-        "init_epochs": ssls.init_epochs,
+        "n_inner": plan.n_inner, "step_size": plan.step_size, "init_epochs": ssls.init_epochs,
     }
 
 
@@ -424,7 +423,6 @@ _SSLS_CASES = {
     "n_temperatures": (3, ["x", 3.5, True], False),
     "n_inner": (5, ["x", 5.5, True], False),
     "step_size": (0.02, ["x", True], False),
-    "clip_norm": (50.0, ["x", True], True),
 }
 FIELD_CASES = {
     "linear_gaussian": {"model": {"init_prior_shift": _SHIFT}, "ssls": _SSLS_CASES},
@@ -526,7 +524,6 @@ OUT_OF_RANGE = [
     ("linear_gaussian", "ssls", "epochs", 0),
     ("linear_gaussian", "ssls", "batch_size", 0),
     ("linear_gaussian", "ssls", "smoothing", 0),
-    ("linear_gaussian", "ssls", "clip_norm", 0),
     ("linear_gaussian", "ssls", "init_epochs", 0),
     ("linear_gaussian", "ssls", "learning_rate", -1),
     ("double_well_linear", "model", "dt", -1),
@@ -614,6 +611,11 @@ INVALID_CONFIGS = {
     "missing-experiment": ("run", {"method": "enkf"}, "field 'experiment' is required"),
     "run-given-methods": ("run", dict(_LG, methods=["enkf", "apf"]),
                           "field 'method': run takes a single method"),
+    "run-given-method-and-methods": ("run", dict(_LG, method="enkf", methods=["kalman", "apf"]),
+                                     "field 'method': run takes a single method"),
+    "compare-given-method-and-methods": (
+        "compare", dict(_LG, method="apf", methods=["kalman", "enkf"]),
+        "field 'method': compare takes a methods list"),
     "missing-method": ("run", _LG, "field 'method' is required"),
 }
 
@@ -676,7 +678,7 @@ def test_out_dir_must_be_a_string(tmp_path, monkeypatch, value):
 _SSLS = {
     "smoothing": 0.1, "epochs": 60, "init_epochs": 250, "batch_size": 128,
     "learning_rate": 0.001, "n_temperatures": 10, "n_inner": 20,
-    "step_size": 0.01, "clip_norm": 100.0,
+    "step_size": 0.01,
 }
 _DW_MODEL = {"beta": 0.3, "dt": 0.1, "init_prior_shift": 0.0}
 DEMO_EXPECTED = {

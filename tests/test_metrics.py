@@ -194,6 +194,10 @@ class TestAgainstReferenceFormulas:
         with pytest.raises(ValueError, match="std must be positive"):
             gaussian_metrics(1, np.zeros(3), std, np.zeros(3))
 
+    def test_gaussian_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gaussian_metrics(1, np.zeros(2), 1.0, np.zeros(3))
+
 
 class TestEnsembleShapes:
     """Every ensemble metric reads a 1-D array as n samples of one dimension."""

@@ -289,6 +289,11 @@ class TestReferenceRun:
         with pytest.raises(ValueError):
             ReferenceRun(states=np.zeros((3, 1)), observations=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 1))], ids=["1-d", "2-d"])
+    def test_empty_run_rejected(self, empty):
+        with pytest.raises(ValueError, match="a reference run needs at least one step"):
+            ReferenceRun(states=empty, observations=empty)
+
     def test_mutation_time_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ReferenceRun(

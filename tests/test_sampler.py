@@ -44,7 +44,8 @@ class TestAnnealPlan:
             {"betas": [0.0, 1.0]},
             {"betas": [1.0], "n_inner": 0},
             {"betas": [1.0], "step_size": 0.0},
-            {"betas": [1.0], "clip_norm": -1.0},
+            {"betas": []},
+            {"betas": [[0.5, 1.0]]},
         ],
     )
     def test_invalid_plans_rejected(self, kwargs):
@@ -58,12 +59,10 @@ class TestAnnealPlan:
             ("betas", lambda v: {"betas": [0.5, v, 1.0]}),
             ("betas", lambda v: {"betas": [v, 1.0]}),
             ("step_size", lambda v: {"step_size": v}),
-            ("clip_norm", lambda v: {"clip_norm": v}),
         ],
-        ids=["betas-middle", "betas-first", "step_size", "clip_norm"],
+        ids=["betas-middle", "betas-first", "step_size"],
     )
     def test_non_finite_plans_rejected(self, name, make, value):
-        # A NaN clip_norm would switch the drift clip off: no norm exceeds it.
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             AnnealPlan(**make(value))
 
@@ -155,7 +154,7 @@ def zero(z):
 def one_step(particles, drift, step_size, rng):
     """One Euler-Maruyama step ``z + h * drift(z) + sqrt(2h) * xi`` through
     ``almc_update``: a single temperature and a single inner iteration."""
-    plan = AnnealPlan(betas=make_schedule(1), n_inner=1, step_size=step_size, clip_norm=None)
+    plan = AnnealPlan(betas=make_schedule(1), n_inner=1, step_size=step_size)
     return almc_update(particles, drift, zero, plan, rng)
 
 
@@ -164,7 +163,7 @@ class TestAnnealedDrift:
 
     def test_unit_beta_gives_full_posterior_drift(self):
         pred = np.random.default_rng(0).normal(size=(6, 2))
-        plan = AnnealPlan(betas=make_schedule(1), n_inner=1, step_size=0.1, clip_norm=None)
+        plan = AnnealPlan(betas=make_schedule(1), n_inner=1, step_size=0.1)
         out = almc_update(pred, lambda z: -z, lambda z: 2.0 - z, plan, np.random.default_rng(1))
         xi = np.random.default_rng(1).standard_normal(pred.shape)
         want = pred + 0.1 * ((2.0 - pred) + (-pred)) + np.sqrt(0.2) * xi
@@ -173,7 +172,7 @@ class TestAnnealedDrift:
     def test_half_beta_arithmetic(self):
         """At beta = 0.5 the first step takes half the likelihood gradient."""
         pred = np.zeros((4, 2))
-        plan = AnnealPlan(betas=make_schedule(2), n_inner=1, step_size=0.1, clip_norm=None)
+        plan = AnnealPlan(betas=make_schedule(2), n_inner=1, step_size=0.1)
         out = almc_update(pred, lambda z: np.tile([0.0, 1.0], (len(z), 1)),
                           lambda z: np.tile([2.0, 0.0], (len(z), 1)), plan,
                           np.random.default_rng(2))
@@ -202,7 +201,7 @@ class TestLmcStep:
         """Langevin with drift -z leaves N(0, 1) approximately invariant."""
         rng = np.random.default_rng(4)
         z = rng.standard_normal((2000, 1))
-        plan = AnnealPlan(betas=make_schedule(1), n_inner=600, step_size=0.01, clip_norm=None)
+        plan = AnnealPlan(betas=make_schedule(1), n_inner=600, step_size=0.01)
         z = almc_update(z, lambda s: -s, zero, plan, rng)
         assert z.mean() == pytest.approx(0.0, abs=0.08)
         assert z.var(ddof=1) == pytest.approx(1.0, abs=0.12)
@@ -263,19 +262,24 @@ class TestAlmcUpdate:
         b = almc_update(pred, lambda z: -z, lambda z: -z, plan, np.random.default_rng(11))
         assert np.array_equal(a, b)
 
-    def test_clipping_applies_to_combined_drift(self):
-        rng = np.random.default_rng(12)
-        pred = np.full((4, 1), 10.0)
-        plan = AnnealPlan(betas=make_schedule(1), n_inner=1, step_size=1.0, clip_norm=1.0)
-        out = almc_update(
-            pred, lambda z: -100 * z, lambda z: np.zeros_like(z), plan, rng
-        )
-        xi = np.random.default_rng(12).standard_normal((4, 1))
-        assert np.allclose(out, pred - 1.0 + np.sqrt(2.0) * xi)
+    def test_one_score_and_one_gradient_call_per_inner_step(self):
+        """M temperatures of K inner steps call each drift term M * K times."""
+        calls = {"score": 0, "grad": 0}
+
+        def counted(name):
+            def term(z):
+                calls[name] += 1
+                return -z
+            return term
+
+        plan = AnnealPlan(betas=make_schedule(3), n_inner=7, step_size=0.01)
+        almc_update(np.zeros((5, 2)), counted("score"), counted("grad"), plan,
+                    np.random.default_rng(0))
+        assert calls == {"score": 21, "grad": 21}
 
     def test_non_finite_particles_abort_with_diagnostics(self):
         pred = np.zeros((3, 1))
-        plan = AnnealPlan(betas=make_schedule(2), n_inner=3, step_size=0.01, clip_norm=None)
+        plan = AnnealPlan(betas=make_schedule(2), n_inner=3, step_size=0.01)
         with pytest.raises(
             FloatingPointError, match="^non-finite particle at temperature 1, inner iteration 0$"
         ):

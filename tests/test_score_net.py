@@ -81,6 +81,14 @@ class TestParameterDtypes:
                 scale=np.ones(2),
             )
 
+    @pytest.mark.parametrize("layer", [0, -1], ids=["input", "output"])
+    def test_widths_must_equal_the_state_dimension(self, layer):
+        net = zero_network(2, hidden=(4,))
+        weights = list(net.weights)
+        weights[layer] = np.zeros((4, 3)) if layer == 0 else np.zeros((3, 4))
+        with pytest.raises(ValueError, match="widths must equal the state dimension"):
+            ScoreNetwork(weights=weights, biases=net.biases, shift=net.shift, scale=net.scale)
+
     def test_one_mixed_layer_rejected(self):
         net = zero_network(2, hidden=(4, 4))
         with pytest.raises(ValueError, match="float32 or all float64"):
@@ -221,6 +229,12 @@ class TestDsmLoss:
         net = zero_network(1)
         with pytest.raises(ValueError):
             dsm_loss_gradient(net, np.zeros((0, 1)), 1.0, np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("smoothing", [0.0, -1.0])
+    def test_non_positive_smoothing_rejected(self, smoothing):
+        net = zero_network(1)
+        with pytest.raises(ValueError, match="smoothing level must be positive"):
+            dsm_loss_gradient(net, np.zeros((2, 1)), smoothing, np.zeros((2, 1)))
 
     def test_noise_shape_mismatch_rejected(self):
         net = zero_network(1)
