@@ -34,6 +34,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or
+    NumPy real number.  A bool is not one: it would pass as 0 or 1."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_count(name: str, value, least: int = 1) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer of at least ``least``."""
     if not _is_integer(value):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
-from .models import _check_count
+from .models import _check_count, _check_real
 
 Array = np.ndarray
 
@@ -72,6 +72,7 @@ class AnnealPlan:
         if self.betas[0] <= 0 or self.betas[-1] != 1.0:
             raise ValueError("betas must lie in (0, 1] and end at exactly 1")
         _check_count("n_inner", self.n_inner)
+        _check_real("step_size", self.step_size)
         # A chained comparison is False for NaN, so it also rejects NaN.
         if not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be positive and finite")

@@ -2,8 +2,8 @@
 PASS/FAIL line (run with ``pytest -s`` to see them live).
 
 The heavy scenario runs (criteria 3-5: double-well mutations, the exponential
-measurement, Lorenz-96 trends) take about a minute each; the whole module
-runs in about four minutes on two shared cores.
+measurement, Lorenz-96 trends) take up to a minute each; the whole module
+runs in about two minutes on two shared cores.
 """
 
 import json

@@ -8,6 +8,7 @@ and a traced run's records and CSV files equal an untraced run's bit for bit.
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,13 +32,17 @@ def tracing(monkeypatch):
     return tracing
 
 
-def run_all(model, run):
-    cfg = SslsConfig(
+def ssls_config(hidden) -> SslsConfig:
+    return SslsConfig(
         ensemble_size=N,
-        train=TrainConfig(epochs=2, batch_size=32, hidden=(8,)),
+        train=TrainConfig(epochs=2, batch_size=8, hidden=hidden),
         plan=AnnealPlan(betas=make_schedule(2), n_inner=2, step_size=0.01),
+        init_epochs=3,
         seed=3,
     )
+
+
+def run_all(model, run, cfg):
     return {
         "ssls": assimilator.assimilate(model, run, cfg),
         "enkf": baselines.run_enkf(model, run, N, seed=4),
@@ -46,15 +51,25 @@ def run_all(model, run):
 
 
 def test_tracer_spans_and_records(tracing):
+    check_spans_and_records(tracing, hidden=(8,))
+
+
+def test_tracer_spans_and_records_at_default_width(tracing):
+    """The network sized from the state dimension (``hidden=None``)."""
+    check_spans_and_records(tracing, hidden=None)
+
+
+def check_spans_and_records(tracing, hidden):
     model = make_linear_gaussian()
     run = simulate_reference(model, STEPS, rng=np.random.default_rng(0))
-    plain = run_all(model, run)
+    cfg = ssls_config(hidden)
+    plain = run_all(model, run, cfg)
     originals = (assimilator.predict, assimilator.ensemble_metrics, baselines.run_enkf)
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced = run_all(model, run)
+        traced = run_all(model, run, cfg)
     finally:
         tracer.remove()
     assert (assimilator.predict, assimilator.ensemble_metrics, baselines.run_enkf) == originals
@@ -70,6 +85,13 @@ def test_tracer_spans_and_records(tracing):
     assert calls["metrics.ensemble_metrics"] == STEPS * len(plain)
     assert calls["baselines.enkf"] == 1
     assert calls["baselines.apf"] == 1
+    # bench/run.py marks a traced run incorrect unless the network's call
+    # counts equal those that bench/workloads.py works out from the config.
+    import workloads
+
+    expected = workloads.expected_calls(SimpleNamespace(config=cfg, steps=STEPS))
+    assert calls["score_net.forward"] == expected["score_net.forward_calls"]
+    assert calls["score_net.dsm_grad"] == expected["score_net.dsm_grad_calls"]
 
     for method, records in plain.items():
         assert len(traced[method]) == len(records) == STEPS

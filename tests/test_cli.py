@@ -741,7 +741,7 @@ def test_demo_config_loads_as_recorded(name):
     assert ssls_settings(cfg.ssls) == ssls
     assert np.array_equal(cfg.ssls.plan.betas, make_schedule(ssls["n_temperatures"]))
     assert (cfg.ssls.ensemble_size, cfg.ssls.train.hidden, cfg.ssls.store_ensembles) == (
-        size, (128, 128), False)
+        size, None, False)
 
 
 # SHA-1s of the CSVs that each demo config writes when shortened to 2 steps
@@ -750,28 +750,28 @@ def test_demo_config_loads_as_recorded(name):
 # other BLAS kernels may round differently.
 DEMO_CSV_SHA1 = {
     "compare_linear_gaussian.json": {
-        "comparison.csv": "7706be30a69b578608d0271b70b2d5661ea1d5e9",
+        "comparison.csv": "71d6b90e351787ca79ca0e6d11555bcef1370de9",
         "metrics_apf.csv": "6d5758c5cb8188511bcd5fbee2697b878da04ec5",
         "metrics_enkf.csv": "4d932c15e8bba60ef2123574c6fc945e4bb42126",
         "metrics_kalman.csv": "3f3b8151bb0c812140622f55cbab644e6e0edb71",
-        "metrics_ssls.csv": "ffd2e2ce62cb152b9be75d9923216848615d2930",
+        "metrics_ssls.csv": "875d0efc825f8f1a828d4dc47d0765ed3f67a611",
     },
     "double_well_linear.json": {
-        "comparison.csv": "8fb640b9c0721adec0672eea61ab9c8f0cfbb03e",
+        "comparison.csv": "350d7be2de26068990852bc977cd8a89f89b11ea",
         "metrics_apf.csv": "d94f4a720e6e3fa7d4ef00b8e60ada7f7314f413",
         "metrics_enkf.csv": "a3865995cb82915790a4b94d43f0713bc9e189a8",
-        "metrics_ssls.csv": "e76bc2db67e7ee4d09b900a55b5362fbc1bb7618",
+        "metrics_ssls.csv": "60bb5742b037cb6b42b5940dab3e3a830420b013",
     },
     "double_well_nonlinear.json": {
-        "comparison.csv": "d01ca4ef28727ad5572774ac3ae34e7074e75919",
+        "comparison.csv": "e5b353667edaf5e3d2eec5a1492bf187ac8a41a9",
         "metrics_apf.csv": "c44cecb5114846c34f101d333fc41fbbca457074",
         "metrics_enkf.csv": "a5c394a8f418dd87599a5e451103514f101c9675",
-        "metrics_ssls.csv": "98807f24a3281b7c41df279e980a0134ecad0ee5",
+        "metrics_ssls.csv": "9e125e086791b0a87fbfacb1f822153e3a329c4e",
     },
     "linear_gaussian.json": {
-        "metrics.csv": "ffd2e2ce62cb152b9be75d9923216848615d2930",
-        "summary.csv": "68046cdd10d1b08e87bad57ea4b64abaa5f7c313",
-        "trajectory.csv": "73c2ab1825a43fcf6c4442b4aaf600a94abe5c11",
+        "metrics.csv": "875d0efc825f8f1a828d4dc47d0765ed3f67a611",
+        "summary.csv": "6412eea9686bdc676a63814c381119c1b67b1271",
+        "trajectory.csv": "05825c8e9bc7faa08c451397ea999045a1a4fbdf",
     },
     "lorenz96.json": {
         "metrics.csv": "bd2d05f480fb5b7ce43d40533722068da979937d",
@@ -779,9 +779,9 @@ DEMO_CSV_SHA1 = {
         "trajectory.csv": "20314678ad85bc7647e2823e600993d63dda5d49",
     },
     "shifted_prior.json": {
-        "metrics.csv": "f80b5ee2c429493aceb49be46af827d44e092297",
-        "summary.csv": "d547d370563d74b884d87bb69407b464c53ff105",
-        "trajectory.csv": "0e3b1b3a55eb0b7eba8183133c3d197e8a9459ff",
+        "metrics.csv": "a328d35489beab8ae760db234a57595c25987e0a",
+        "summary.csv": "c1b036079a226b7ea8e4ca462725dc6a49a11d71",
+        "trajectory.csv": "5853f5e8dcb7e783bb0a872fa0350c89f3498975",
     },
 }
 

@@ -66,6 +66,11 @@ class TestAnnealPlan:
         with pytest.raises(ValueError, match=f"{name} must be .*finite"):
             AnnealPlan(**make(value))
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bool_step_size_rejected(self, value):
+        with pytest.raises(ValueError, match="step_size must be a real number"):
+            AnnealPlan(step_size=value)
+
 
 class TestClipScore:
     def test_below_threshold_unchanged(self):

@@ -404,6 +404,30 @@ class TestTrainScore:
         with pytest.raises(ValueError):
             train_score(np.zeros((1, 1)), TrainConfig(epochs=1), rng=np.random.default_rng(0))
 
+    def test_three_dimensional_ensemble_rejected(self):
+        match = r"ensemble must be an \(n, d\) array, got shape \(4, 8, 1\)"
+        with pytest.raises(ValueError, match=match):
+            train_score(np.zeros((4, 8, 1)), TrainConfig(epochs=1), rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "d, hidden, sizes",
+        [
+            (1, None, (1, 64, 64, 1)),
+            (2, None, (2, 128, 128, 2)),
+            (20, None, (20, 128, 128, 20)),
+            (1, (128, 128), (1, 128, 128, 1)),
+            (3, (8,), (3, 8, 3)),
+        ],
+    )
+    def test_default_width_follows_the_state_dimension(self, d, hidden, sizes):
+        ensemble = np.random.default_rng(18).normal(size=(16, d))
+        config = TrainConfig(epochs=1, hidden=hidden)
+        net = train_score(ensemble, config, rng=np.random.default_rng(0))
+        assert net.layer_sizes == sizes
+        # A warm start rebuilds the same widths from the same rule.
+        again = train_score(ensemble, config, init=net, rng=np.random.default_rng(1))
+        assert again.layer_sizes == sizes
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
@@ -427,7 +451,9 @@ class TestTrainConfigValidation:
     def test_zero_learning_rate_accepted(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
-    @pytest.mark.parametrize("hidden", [(0,), (2.7,), (-3,), (16, 0), (True,), ("8",)])
+    @pytest.mark.parametrize(
+        "hidden", [(0,), (2.7,), (-3,), (16, 0), (True,), ("8",), 128, 64.0, np.int64(32)]
+    )
     def test_hidden_widths_must_be_positive_integers(self, hidden):
         with pytest.raises(ValueError, match="hidden widths must be positive integers"):
             TrainConfig(hidden=hidden)
@@ -435,3 +461,13 @@ class TestTrainConfigValidation:
     def test_integer_hidden_widths_kept(self):
         assert TrainConfig(hidden=[np.int64(16), 8]).hidden == (16, 8)
         assert TrainConfig(hidden=()).hidden == ()
+
+    def test_hidden_defaults_to_none(self):
+        assert TrainConfig().hidden is None
+        assert TrainConfig(hidden=None).hidden is None
+
+    @pytest.mark.parametrize("name", ["smoothing", "learning_rate"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bools_are_not_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            TrainConfig(**{name: value})
