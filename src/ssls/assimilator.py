@@ -63,7 +63,8 @@ class SslsConfig:
         and typically needs more passes than the warm-started steps.
         ``None`` uses ``train.epochs``.
     seed : int
-        Master seed; fixing it makes the whole run bit-reproducible.
+        Master seed, an integer >= 0; fixing it makes the whole run
+        bit-reproducible.
     store_ensembles : bool
         Keep the full posterior ensemble in every record (memory heavy for
         long runs).
@@ -80,6 +81,7 @@ class SslsConfig:
         _check_count("ensemble_size", self.ensemble_size, 2)
         if self.init_epochs is not None:
             _check_count("init_epochs", self.init_epochs)
+        _check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -135,9 +137,10 @@ def run_filter(
     Raises
     ------
     ValueError
-        Before any work, when ``ensemble_size`` is not an integer >= 2, the
-        run's state or observation width differs from the model's, or an
-        observation is not finite (the message names the first such step).
+        Before any work, when ``ensemble_size`` is not an integer >= 2,
+        ``seed`` is not an integer >= 0, the run's state or observation
+        width differs from the model's, or an observation is not finite
+        (the message names the first such step).
     AssimilationError
         When a step raises ``FloatingPointError``: score training or the
         Langevin update diverges, the APF's weights are all zero, or the
@@ -145,6 +148,7 @@ def run_filter(
         index is recorded on the exception.
     """
     _check_count("ensemble_size", ensemble_size, 2)
+    _check_count("seed", seed, 0)
     _check_run(run, model.state_dim, model.obs_dim)
     rng = np.random.default_rng(seed)
     ensemble = model.initial_prior_sampler(rng, ensemble_size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
-from .assimilator import AssimilationRecord, _check_run, run_filter
+from .assimilator import AssimilationRecord, _check_run, predict, run_filter
 # Unused here, but bench/tracing.py wraps baselines.ensemble_metrics.
 from .metrics import ensemble_metrics, gaussian_metrics  # noqa: F401
 from .models import ModelSpec, ReferenceRun
@@ -32,7 +32,8 @@ class LinearGaussianSpec:
     """Matrices of a linear-Gaussian state-space model.
 
     ``x' = A x + v`` with ``v ~ N(0, Q)`` and ``y = H x + w`` with
-    ``w ~ N(0, R)``; the initial state is ``N(m0, P0)``.
+    ``w ~ N(0, R)``; the initial state is ``N(m0, P0)``.  Every entry must
+    be finite, and ``Q``, ``R`` and ``P0`` symmetric positive semi-definite.
     """
 
     A: Array
@@ -57,6 +58,9 @@ class LinearGaussianSpec:
             raise ValueError("H and R have inconsistent shapes")
         if self.m0.shape != (d,):
             raise ValueError("m0 has the wrong dimension")
+        for name in ("A", "Q", "H", "R", "m0", "P0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         for name in ("Q", "R", "P0"):
             mat = getattr(self, name)
             if not np.allclose(mat, mat.T):
@@ -146,11 +150,7 @@ def enkf_update(ensemble: Array, model: ModelSpec, y: Array, rng: Generator) -> 
 
 def enkf_step(ensemble: Array, model: ModelSpec, y: Array, rng: Generator) -> Array:
     """Propagate each particle with dynamics noise, then EnKF-update."""
-    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
-    n = ensemble.shape[0]
-    noise = model.dynamics_noise_sampler(rng, n)
-    propagated = model.dynamics(ensemble, noise)
-    return enkf_update(propagated, model, y, rng)
+    return enkf_update(predict(ensemble, model, rng), model, y, rng)
 
 
 def systematic_resample(weights: Array, n: int, rng: Generator) -> Array:
@@ -207,7 +207,7 @@ def apf_step(particles: Array, model: ModelSpec, y_next: Array, rng: Generator) 
     idx = systematic_resample(_weights(lookahead, "first-stage"), n, rng)
 
     # Resampling picks particles of positive weight, whose lookahead is finite.
-    propagated = model.dynamics(particles[idx], model.dynamics_noise_sampler(rng, n))
+    propagated = predict(particles[idx], model, rng)
     log_correction = model.log_likelihood(propagated, y_next) - lookahead[idx]
     final_idx = systematic_resample(_weights(log_correction, "second-stage"), n, rng)
     return propagated[final_idx]

@@ -52,12 +52,14 @@ guess prior of the ensemble methods::
     lorenz96               dim, forcing, dt, process_noise_std, obs_noise_std,
                            init_prior_shift
 
-A field's kind, and whether it takes ``null``, is the annotation of the
-library parameter it sets.  An ``int`` field takes only a JSON integer, a
-``float`` field an integer or a finite real; JSON booleans are not numbers.
-``null`` means no sign flips for ``mutation_period``, ``epochs`` for
-``init_epochs``, and 0.1 (linear) or 0.2 (nonlinear) for the double wells'
-``obs_noise_std``; no other field takes it.
+The library parameter that a field sets checks its value where it enters,
+and that check decides what the field takes: an ``int`` field only a JSON
+integer, a ``float`` field an integer or a finite real; JSON booleans are
+not numbers.  ``null`` means no sign flips for ``mutation_period``,
+``epochs`` for ``init_epochs``, and 0.1 (linear) or 0.2 (nonlinear) for the
+double wells' ``obs_noise_std``; no other field takes it.  A rejected
+value's message names its section (``'model'``, ``'ssls'`` or ``top
+level``) and the field.
 
 ``method: "kalman"`` is the exact-posterior oracle and is only valid for
 the linear-Gaussian experiment; it always uses the true reference prior, so
@@ -65,9 +67,9 @@ the linear-Gaussian experiment; it always uses the true reference prior, so
 files carry 17 significant digits and round-trip exactly.
 
 The exit status is 1 for an invalid config, found before any simulation: a
-malformed file, an unknown or unused field, a value of the wrong kind, or
-one that the model factory, ``TrainConfig``, ``AnnealPlan``,
-``make_schedule`` or ``SslsConfig`` rejects.  It is also 1 when the
+malformed file, an unknown or unused field, or a value that the model
+factory, ``shift_prior``, ``TrainConfig``, ``AnnealPlan``, ``make_schedule``,
+``SslsConfig`` or :class:`ExperimentConfig` rejects.  It is also 1 when the
 reference run that the config sets diverges (a state or observation is not
 finite; the message names the first such step), found before the output
 directory is made.  It is 2 when a filter run fails (SSLS, EnKF or APF):
@@ -78,14 +80,12 @@ fail it is that of the first of them in the config's order.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
-import inspect
 import json
-import math
 import sys
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,6 +97,7 @@ from .models import (
     LINEAR_GAUSSIAN,
     ModelSpec,
     ReferenceRun,
+    _check_count,
     make_double_well,
     make_linear_gaussian,
     make_lorenz96,
@@ -180,18 +181,22 @@ class ExperimentConfig:
                 )
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("field 'methods': duplicate method names")
-        if self.steps < 1:
-            raise ConfigError("field 'steps': must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("field 'seed': must be non-negative")
-        if self.mutation_period is not None and self.mutation_period < 1:
-            raise ConfigError("field 'mutation_period': must be at least 1")
+        with _where("top level"):
+            _check_count("steps", self.steps)
+            _check_count("seed", self.seed, 0)
+            if self.mutation_period is not None:
+                _check_count("mutation_period", self.mutation_period)
+            if not isinstance(self.out_dir, str):
+                raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
 
 
-@functools.cache
-def _annotations(f) -> dict:
-    """The evaluated annotations of ``f``'s parameters, by name."""
-    return {n: p.annotation for n, p in inspect.signature(f, eval_str=True).parameters.items()}
+@contextlib.contextmanager
+def _where(section: str):
+    """Raise a ``ValueError`` of the library's checks as a ``ConfigError`` naming ``section``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -200,40 +205,18 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _typed(values: dict, kinds: dict, where: str) -> dict:
-    """``values`` checked against the annotations ``kinds``.
-
-    An annotation gives a field's kind (``int``, ``float`` or ``str``) and
-    whether it may be ``null`` (``| None``).  A float field also takes an
-    integer, but not an infinity or NaN; JSON booleans are not numbers.
-    """
-    typed = {}
-    for key, value in values.items():
-        kind, *rest = typing.get_args(kinds[key]) or (kinds[key],)
-        if value is None and type(None) in rest:
-            typed[key] = None
-            continue
-        accepted = (int, float) if kind is float else kind
-        ok = isinstance(value, accepted) and not isinstance(value, bool)
-        if not ok or (kind is float and not math.isfinite(value)):
-            raise ConfigError(f"{where} field {key!r}: expected {kind.__name__}, got {value!r}")
-        typed[key] = kind(value)
-    return typed
-
-
 def _section(raw: dict, name: str, fields: dict, defaults: dict) -> dict:
     """Section ``name`` of ``raw`` over ``defaults``, as keyword arguments.
 
     ``fields`` maps each callable to the parameters of it that the section
-    may set; their annotations give the kinds.  The result maps each
-    callable to the arguments that the section gives it.
+    may set.  The result maps each callable to the arguments that the
+    section gives it, which the callable checks.
     """
-    kinds = {n: _annotations(f)[n] for f, names in fields.items() for n in names}
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"field {name!r}: must be an object")
-    _check_keys(section, kinds, f"{name!r}")
-    values = _typed({**defaults, **section}, kinds, f"{name!r}")
+    _check_keys(section, [n for names in fields.values() for n in names], f"{name!r}")
+    values = {**defaults, **section}
     return {f: {n: values[n] for n in names if n in values} for f, names in fields.items()}
 
 
@@ -254,7 +237,8 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _check_keys(raw, {*_annotations(ExperimentConfig), "method", "ensemble_size"}, str(path))
+    top_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    _check_keys(raw, {*top_fields, "method", "ensemble_size"}, str(path))
 
     if "experiment" not in raw:
         raise ConfigError("field 'experiment' is required")
@@ -285,22 +269,22 @@ def load_config(path, compare: bool = False) -> ExperimentConfig:
 
     scalars = ("ensemble_size", "steps", "seed", "mutation_period", "out_dir")
     top = {k: v for k, v in {**defaults, **raw}.items() if k in scalars}
-    # SslsConfig holds the ensemble size, its kind, and its default when none is given.
-    top = _typed(top, _annotations(SslsConfig) | _annotations(ExperimentConfig), "top level")
+    # SslsConfig holds the ensemble size, and its default when none is given.
     size = {"ensemble_size": top.pop("ensemble_size")} if "ensemble_size" in top else {}
     factory, names = _MODELS[experiment]
     model_args = _section(raw, "model", {factory: names, shift_prior: ["init_prior_shift"]}, {})
     args = _section(raw, "ssls", _SSLS_FIELDS, defaults["ssls"])
-    try:  # the library's own checks are the range checks
+    with _where("'model'"):
         model = factory(**model_args[factory])
+        if model_args[shift_prior]:
+            model = shift_prior(model, **model_args[shift_prior])
+    with _where("'ssls'"):
         if args[make_schedule]:
             args[AnnealPlan]["betas"] = make_schedule(**args[make_schedule])
         train, plan = TrainConfig(**args[TrainConfig]), AnnealPlan(**args[AnnealPlan])
-        ssls = SslsConfig(train=train, plan=plan, **args[SslsConfig], **size)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if model_args[shift_prior]:
-        model = shift_prior(model, **model_args[shift_prior])
+        ssls = SslsConfig(train=train, plan=plan, **args[SslsConfig])
+    with _where("top level"):  # the ensemble size is a top-level field
+        ssls = dataclasses.replace(ssls, **size)
     return ExperimentConfig(experiment=experiment, methods=methods, model=model, ssls=ssls, **top)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,11 +35,22 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_real(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or
-    NumPy real number.  A bool is not one: it would pass as 0 or 1."""
+def _check_real(name: str, value, sign: str = "") -> float:
+    """``value`` as a float; a ``ValueError`` naming ``name`` if it is invalid.
+
+    ``value`` must be a Python or NumPy real number (a bool is not one: it
+    would pass as 0 or 1) and finite (an integer beyond the float range is
+    not), and of the sign ``"positive"`` or ``"non-negative"`` when given.
+    """
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or (sign and (x < 0 or (x == 0 and sign == "positive"))):
+        raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}finite")
+    return x
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
@@ -207,6 +219,7 @@ def make_linear_gaussian() -> ModelSpec:
 
 def shift_prior(model: ModelSpec, init_prior_shift: float) -> ModelSpec:
     """``model`` with its guess prior moved by ``init_prior_shift``; the true law stays."""
+    init_prior_shift = _check_real("init_prior_shift", init_prior_shift)
     base = model.initial_prior_sampler
     return model.replace(initial_prior_sampler=lambda rng, n: base(rng, n) + init_prior_shift)
 
@@ -250,19 +263,14 @@ def make_double_well(
     gamma : float
         Offset of the exponential measurement operator.
     """
-    # Chained comparisons are False for NaN, so each also rejects NaN.
-    if not 0 < beta < np.inf:
-        raise ValueError("beta must be positive and finite")
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
-    if not np.isfinite(gamma):
-        raise ValueError("gamma must be finite")
+    beta = _check_real("beta", beta, "positive")
+    dt = _check_real("dt", dt, "positive")
+    gamma = _check_real("gamma", gamma)
     if measurement not in ("linear", "nonlinear"):
         raise ValueError(f"unknown measurement model {measurement!r}")
     if obs_noise_std is None:
         obs_noise_std = 0.1 if measurement == "linear" else 0.2
-    if not 0 < obs_noise_std < np.inf:
-        raise ValueError("obs_noise_std must be positive and finite")
+    obs_noise_std = _check_real("obs_noise_std", obs_noise_std, "positive")
     obs_var = obs_noise_std**2
 
     def dynamics(x, v):
@@ -287,7 +295,7 @@ def make_double_well(
         dynamics_noise_sampler=noise,
         initial_prior_sampler=initial,
         reference_initial_sampler=initial,
-        obs_noise_std=float(obs_noise_std),
+        obs_noise_std=obs_noise_std,
         **observation,
     )
 
@@ -316,8 +324,7 @@ def lorenz96_rhs(z: Array, forcing: float) -> Array:
 
 def rk4_step(rhs: Callable[[Array], Array], z: Array, dt: float) -> Array:
     """One classical fourth-order Runge-Kutta step of ``z' = rhs(z)``."""
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
+    dt = _check_real("dt", dt, "positive")
     k1 = rhs(z)
     k2 = rhs(z + 0.5 * dt * k1)
     k3 = rhs(z + 0.5 * dt * k2)
@@ -363,14 +370,10 @@ def make_lorenz96(
     """
     _check_count("dim", dim, 4)  # for cyclic indexing
     _check_count("spinup_steps", spinup_steps, 0)
-    if not np.isfinite(forcing):
-        raise ValueError("forcing must be finite")
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
-    if not 0 <= process_noise_std < np.inf:
-        raise ValueError("process_noise_std must be non-negative and finite")
-    if not 0 < obs_noise_std < np.inf:
-        raise ValueError("obs_noise_std must be positive and finite")
+    forcing = _check_real("forcing", forcing)
+    dt = _check_real("dt", dt, "positive")
+    process_noise_std = _check_real("process_noise_std", process_noise_std, "non-negative")
+    obs_noise_std = _check_real("obs_noise_std", obs_noise_std, "positive")
     obs_var = obs_noise_std**2
 
     def rhs(z):
@@ -400,7 +403,7 @@ def make_lorenz96(
         dynamics_noise_sampler=noise,
         initial_prior_sampler=guess_prior,
         reference_initial_sampler=reference_prior,
-        obs_noise_std=float(obs_noise_std),
+        obs_noise_std=obs_noise_std,
         **_gaussian_observation(obs_var),
     )
 

@@ -115,15 +115,10 @@ class TrainConfig:
     hidden: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _check_real("smoothing", self.smoothing)
-        _check_real("learning_rate", self.learning_rate)
-        # Chained comparisons are False for NaN, so each also rejects NaN.
-        if not 0 < self.smoothing < np.inf:
-            raise ValueError("smoothing level must be positive and finite")
+        self.smoothing = _check_real("smoothing", self.smoothing, "positive")
         _check_count("epochs", self.epochs)
         _check_count("batch_size", self.batch_size)
-        if not 0 <= self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be non-negative and finite")
+        self.learning_rate = _check_real("learning_rate", self.learning_rate, "non-negative")
         if self.hidden is not None:
             widths = tuple(self.hidden) if np.iterable(self.hidden) else None
             if widths is None or not all(_is_integer(w) and w > 0 for w in widths):
@@ -236,7 +231,7 @@ def whiten(ensemble: Array) -> tuple[Array, Array, Array]:
     Uses the population convention (denominator ``n``) for the standard
     deviation.  Dimensions whose values are all equal, or whose scale is
     below ``1e-8``, keep scale 1 so that constant coordinates pass through
-    unchanged.
+    unchanged.  ``ensemble`` must be an ``(n, d)`` array with ``n >= 2``.
 
     Returns
     -------
@@ -244,7 +239,9 @@ def whiten(ensemble: Array) -> tuple[Array, Array, Array]:
         The whitened ``(n, d)`` ensemble and the per-dimension mean and
         scale of the affine map ``z = (x - shift) / scale``.
     """
-    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
+    ensemble = np.asarray(ensemble, dtype=float)
+    if ensemble.ndim != 2:
+        raise ValueError(f"ensemble must be an (n, d) array, got shape {ensemble.shape}")
     if ensemble.shape[0] < 2:
         raise ValueError("whitening needs at least 2 particles")
     shift = ensemble.mean(axis=0)
@@ -292,8 +289,7 @@ def dsm_loss_gradient(
         Gradient arrays match the shapes of ``net.weights`` / ``net.biases``
         and are views into ``out``.
     """
-    if smoothing <= 0:
-        raise ValueError("smoothing level must be positive")
+    smoothing = _check_real("smoothing", smoothing, "positive")
     batch = np.atleast_2d(np.asarray(batch, dtype=net.dtype))
     noise = np.atleast_2d(np.asarray(noise, dtype=net.dtype))
     if batch.shape[0] == 0:
@@ -396,15 +392,9 @@ def train_score(
     """
     if rng is None:
         rng = np.random.default_rng()
-    ensemble = np.atleast_2d(np.asarray(ensemble, dtype=float))
-    if ensemble.ndim != 2:
-        raise ValueError(f"ensemble must be an (n, d) array, got shape {ensemble.shape}")
-    n, d = ensemble.shape
-    if n < 2:
-        raise ValueError("training needs at least 2 particles")
-
     whitened, shift, scale = whiten(ensemble)
     whitened = whitened.astype(PARAM_DTYPE)
+    n, d = whitened.shape
     sizes = _layer_sizes(d, config.hidden)
     warm = init is not None
     if warm and init.layer_sizes != sizes:

@@ -80,6 +80,13 @@ class TestKalman:
         with pytest.raises(ValueError, match=message):
             LinearGaussianSpec(**matrices)
 
+    @pytest.mark.parametrize("name", ["A", "Q", "H", "R", "m0", "P0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_naming_the_matrix(self, name, value):
+        matrices = dict(A=1.0, Q=5.0, H=1.0, R=0.2, m0=0.0, P0=1.0) | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LinearGaussianSpec(**matrices)
+
     def test_covariance_stays_symmetric_psd(self):
         spec = LinearGaussianSpec(
             A=[[0.9, 0.1], [0.0, 0.8]],

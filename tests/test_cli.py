@@ -1,9 +1,11 @@
 """Experiment runner: config parsing, CSV outputs, determinism, errors."""
 
+import contextlib
 import csv
 import functools
 import hashlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
@@ -11,11 +13,14 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssls import cli
 from ssls.cli import (
@@ -488,12 +493,12 @@ def test_each_field_checks_its_kind(tmp_path, section, name):
         if isinstance(good, float):  # an integer is a valid real number
             _check_field(section, name, 2.0, experiment, load_config(config(2)))
         for value in wrong:
-            with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
+            with pytest.raises(ConfigError, match=f"^'{section}': {name} must be "):
                 load_config(config(value))
         if nullable:
             _check_field(section, name, None, experiment, load_config(config(None)))
         else:
-            with pytest.raises(ConfigError, match=f"'{section}' field '{name}'"):
+            with pytest.raises(ConfigError, match=f"^'{section}': {name} must be "):
                 load_config(config(None))
 
 
@@ -555,13 +560,64 @@ def test_out_of_range_value_exits_1_before_any_simulation(
     assert list(tmp_path.rglob("*.csv")) == []
 
 
+class _Loaded(Exception):
+    """Raised in place of the reference run: the config loaded."""
+
+
+def _stop_after_loading(*args, **kwargs):
+    raise _Loaded
+
+
+# Where each experiment's fields go: the top level, or a section.
+_FIELD_SLOTS = sorted(
+    [(e, None, n) for e in FIELD_CASES
+     for n in ("ensemble_size", "steps", "seed", "mutation_period", "out_dir")]
+    + [(e, section, n) for e, cases in FIELD_CASES.items()
+       for section, fields in cases.items() for n in fields],
+    key=str,
+)
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 64),
+    st.integers(2**1024, 2**1400),  # beyond the float range
+    st.integers(-(2**1400), -(2**1024)),
+    st.floats(),  # json.dumps writes NaN and Infinity, which json.loads reads back
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot=st.sampled_from(_FIELD_SLOTS), value=_JSON_VALUES)
+def test_any_json_value_of_a_field_loads_or_exits_1(slot, value):
+    """Counts are drawn small: a large ``n_temperatures`` is allocated when
+    the config loads."""
+    experiment, section, name = slot
+    raw = {"experiment": experiment, "method": "enkf"}
+    raw.update({name: value} if section is None else {section: {name: value}})
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "simulate_reference", _stop_after_loading)
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        try:
+            with contextlib.redirect_stderr(err):
+                status = main(["run", str(path)])
+        except _Loaded:
+            return
+    assert status == 1
+    assert err.getvalue().startswith("config error: ") and "Traceback" not in err.getvalue()
+
+
 def test_negative_seed_exits_1(tmp_path, capsys):
     assert main(["run", str(write_config(tmp_path, method="enkf", seed=-1))]) == 1
-    assert "config error: field 'seed'" in capsys.readouterr().err
+    assert "config error: top level: seed must be at least 0" in capsys.readouterr().err
     path = write_config(tmp_path, method="enkf")
     assert main(["run", str(path), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
-    assert "config error: field 'seed'" in err and "Traceback" not in err
+    assert "config error: top level: seed must be at least 0" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     assert main(["run", str(path), "--seed", "5"]) == 0
 
@@ -602,9 +658,10 @@ _LG = {"experiment": "linear_gaussian"}
 INVALID_CONFIGS = {
     "duplicate-methods": ("compare", dict(_LG, methods=["enkf", "enkf"]),
                           "field 'methods': duplicate method names"),
-    "zero-steps": ("run", dict(_LG, method="enkf", steps=0), "field 'steps': must be at least 1"),
+    "zero-steps": ("run", dict(_LG, method="enkf", steps=0),
+                   "top level: steps must be at least 1"),
     "zero-mutation-period": ("run", dict(_LG, method="enkf", mutation_period=0),
-                             "field 'mutation_period': must be at least 1"),
+                             "top level: mutation_period must be at least 1"),
     "model-not-an-object": ("run", dict(_LG, method="enkf", model=[1]),
                             "field 'model': must be an object"),
     "top-level-not-an-object": ("run", [1, 2], "top level must be a JSON object"),
@@ -668,7 +725,7 @@ def test_ensemble_size_is_checked_at_the_top_level(tmp_path, value):
 def test_out_dir_must_be_a_string(tmp_path, monkeypatch, value):
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, method="enkf", out_dir=value)
-    with pytest.raises(ConfigError, match="top level field 'out_dir'"):
+    with pytest.raises(ConfigError, match="^top level: out_dir must be a string, got "):
         load_config(path)
 
 

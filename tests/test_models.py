@@ -23,7 +23,7 @@ from ssls.models import (
     simulate_reference,
 )
 from ssls.sampler import AnnealPlan, make_schedule
-from ssls.score_net import TrainConfig
+from ssls.score_net import ScoreNetwork, TrainConfig, dsm_loss_gradient
 
 ALL_MODELS = {
     "linear_gaussian": lambda: make_linear_gaussian(),
@@ -321,6 +321,10 @@ COUNTS = {
     "run_enkf.ensemble_size": (
         functools.partial(run_enkf, make_linear_gaussian(),
                           simulate_reference(make_linear_gaussian(), 2)), "ensemble_size"),
+    "SslsConfig.seed": (SslsConfig, "seed"),
+    "run_enkf.seed": (
+        functools.partial(run_enkf, make_linear_gaussian(),
+                          simulate_reference(make_linear_gaussian(), 2), 4), "seed"),
 }
 
 
@@ -336,6 +340,13 @@ def test_count_that_is_not_an_integer_rejected_where_built(count, value):
 def test_numpy_integer_count_accepted(count):
     build, name = COUNTS[count]
     build(**{name: np.int64(5)})
+
+
+@pytest.mark.parametrize("count", ["SslsConfig.seed", "run_enkf.seed"])
+def test_negative_seed_rejected_where_built(count):
+    build, name = COUNTS[count]
+    with pytest.raises(ValueError, match="^seed must be at least 0$"):
+        build(**{name: -1})
 
 
 @pytest.mark.parametrize("factory, kwargs", [
@@ -358,3 +369,69 @@ def test_non_finite_model_parameter_rejected_where_built(factory, kwargs):
     name = [k for k in kwargs if k != "measurement"][0]
     with pytest.raises(ValueError, match=f"^{name} must be"):
         factory(**kwargs)
+
+
+def _outputs(model):
+    """``model``'s noise level and its callables' outputs on fixed inputs and seeds."""
+    x = np.linspace(-1.5, 1.5, 6 * model.state_dim).reshape(6, -1)
+    samplers = ("dynamics_noise_sampler", "initial_prior_sampler", "reference_initial_sampler")
+    with np.errstate(all="ignore"):
+        return [model.obs_noise_std, model.dynamics(x, x),
+                model.log_likelihood_grad(x, x[::-1] + 0.25),
+                *(getattr(model, s)(np.random.default_rng(0), 3) for s in samplers)]
+
+
+def _dsm_outputs(smoothing):
+    rng = np.random.default_rng(0)
+    net = ScoreNetwork(weights=[rng.normal(size=(4, 2)), rng.normal(size=(2, 4))],
+                       biases=[rng.normal(size=4), rng.normal(size=2)],
+                       shift=np.zeros(2), scale=np.ones(2))
+    loss, weight_grads, bias_grads = dsm_loss_gradient(
+        net, rng.normal(size=(5, 2)), smoothing, rng.normal(size=(5, 2)))
+    return [loss, *weight_grads, *bias_grads]
+
+
+_small_lorenz96 = functools.partial(make_lorenz96, dim=4, spinup_steps=3)
+
+# Each real-valued parameter of the library, with what a value builds.
+REALS = {
+    "make_double_well.beta": (lambda v: _outputs(make_double_well(beta=v)), "beta"),
+    "make_double_well.dt": (lambda v: _outputs(make_double_well(dt=v)), "dt"),
+    "make_double_well.obs_noise_std": (
+        lambda v: _outputs(make_double_well(obs_noise_std=v)), "obs_noise_std"),
+    "make_double_well.gamma": (
+        lambda v: _outputs(make_double_well(measurement="nonlinear", gamma=v)), "gamma"),
+    "make_lorenz96.forcing": (lambda v: _outputs(_small_lorenz96(forcing=v)), "forcing"),
+    "make_lorenz96.dt": (lambda v: _outputs(_small_lorenz96(dt=v)), "dt"),
+    "make_lorenz96.process_noise_std": (
+        lambda v: _outputs(_small_lorenz96(process_noise_std=v)), "process_noise_std"),
+    "make_lorenz96.obs_noise_std": (
+        lambda v: _outputs(_small_lorenz96(obs_noise_std=v)), "obs_noise_std"),
+    "rk4_step.dt": (lambda v: [rk4_step(lambda z: z * z, np.array([0.5, -1.0]), v)], "dt"),
+    "shift_prior.init_prior_shift": (
+        lambda v: _outputs(shift_prior(make_linear_gaussian(), v)), "init_prior_shift"),
+    "AnnealPlan.step_size": (lambda v: [AnnealPlan(step_size=v).step_size], "step_size"),
+    "TrainConfig.smoothing": (lambda v: [TrainConfig(smoothing=v).smoothing], "smoothing"),
+    "TrainConfig.learning_rate": (
+        lambda v: [TrainConfig(learning_rate=v).learning_rate], "learning_rate"),
+    "dsm_loss_gradient.smoothing": (_dsm_outputs, "smoothing"),
+}
+
+
+@pytest.mark.parametrize("value", [True, "x", None, np.nan, np.inf, -np.inf, 10**400],
+                         ids=["True", "x", "None", "nan", "inf", "-inf", "10**400"])
+@pytest.mark.parametrize("real", sorted(REALS))
+def test_invalid_real_rejected_naming_it(real, value):
+    build, name = REALS[real]
+    if value is None and real == "make_double_well.obs_noise_std":
+        return  # None picks the measurement's default noise level
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("real", sorted(REALS))
+def test_integer_real_builds_what_its_float_builds(real):
+    build, _ = REALS[real]
+    for got, want in zip(build(1), build(1.0), strict=True):
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)

@@ -1,5 +1,7 @@
 """Score network: whitening, loss values, exact gradients, training."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,12 @@ class TestWhiten:
         with pytest.raises(ValueError):
             whiten(np.array([[1.0]]))
 
+    @pytest.mark.parametrize("shape", [(4, 8, 1), (4,), ()])
+    def test_only_an_n_by_d_array_accepted(self, shape):
+        match = rf"ensemble must be an \(n, d\) array, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=match):
+            whiten(np.arange(32.0)[:int(np.prod(shape))].reshape(shape))
+
     @settings(max_examples=100)
     @given(
         n=st.integers(2, 600),
@@ -233,7 +241,7 @@ class TestDsmLoss:
     @pytest.mark.parametrize("smoothing", [0.0, -1.0])
     def test_non_positive_smoothing_rejected(self, smoothing):
         net = zero_network(1)
-        with pytest.raises(ValueError, match="smoothing level must be positive"):
+        with pytest.raises(ValueError, match="^smoothing must be positive and finite$"):
             dsm_loss_gradient(net, np.zeros((2, 1)), smoothing, np.zeros((2, 1)))
 
     def test_noise_shape_mismatch_rejected(self):
