@@ -30,6 +30,9 @@ from numpy.random import Generator
 Array = np.ndarray
 
 
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or NumPy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -54,11 +57,30 @@ def _check_real(name: str, value, sign: str = "") -> float:
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer of at least ``least``."""
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer from
+    ``least`` to the int64 maximum, the largest count NumPy can index with."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{name} must be at most {_MAX_COUNT}")
+
+
+def _check_obs_noise_std(value) -> tuple[float, float]:
+    """``obs_noise_std`` and its square, the observation variance, as floats.
+
+    The square must be a positive finite float too: the likelihood divides
+    by it.
+    """
+    std = _check_real("obs_noise_std", value, "positive")
+    try:
+        var = std**2
+    except OverflowError:
+        var = math.inf
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"obs_noise_std squared must be positive and finite, got {std!r}")
+    return std, var
 
 
 @dataclass
@@ -270,8 +292,7 @@ def make_double_well(
         raise ValueError(f"unknown measurement model {measurement!r}")
     if obs_noise_std is None:
         obs_noise_std = 0.1 if measurement == "linear" else 0.2
-    obs_noise_std = _check_real("obs_noise_std", obs_noise_std, "positive")
-    obs_var = obs_noise_std**2
+    obs_noise_std, obs_var = _check_obs_noise_std(obs_noise_std)
 
     def dynamics(x, v):
         x = np.asarray(x, dtype=float)
@@ -373,8 +394,7 @@ def make_lorenz96(
     forcing = _check_real("forcing", forcing)
     dt = _check_real("dt", dt, "positive")
     process_noise_std = _check_real("process_noise_std", process_noise_std, "non-negative")
-    obs_noise_std = _check_real("obs_noise_std", obs_noise_std, "positive")
-    obs_var = obs_noise_std**2
+    obs_noise_std, obs_var = _check_obs_noise_std(obs_noise_std)
 
     def rhs(z):
         return lorenz96_rhs(z, forcing)

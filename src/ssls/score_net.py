@@ -10,10 +10,8 @@ The minimizer of the population version of this objective is the score of
 the Gaussian-smoothed ensemble density.  Everything here is plain NumPy with
 hand-written backpropagation; networks are small because the states of
 interest have at most a few dozen dimensions.  By default they have two
-hidden layers, 64 wide for one-dimensional states and 128 wide otherwise:
-at d=1 the narrower network halves the cost of an assimilation step at the
-same accuracy, while at d=20 it costs about 7% in RMSE (see
-:func:`_layer_sizes`).
+tanh hidden layers of 64 units, for every state dimension (see
+:class:`TrainConfig`).
 
 Ensembles are normalized to zero mean and unit per-dimension scale before
 training.  The fitted network stores the affine transform and
@@ -25,8 +23,8 @@ different scales.
 The forward and backward passes run on preallocated arrays.  Each network
 owns a workspace of scratch arrays (layer outputs, input and backprop
 deltas) sized by row count: a call on fewer rows uses their leading rows,
-a call on more rows grows them.  The sigmoid is computed in place with
-NumPy's ``exp``.  Adam keeps every parameter in one flat vector, and
+a call on more rows grows them.  The activation is NumPy's ``tanh``,
+computed in place.  Adam keeps every parameter in one flat vector, and
 ``weights``/``biases`` are views into it.  Because of the workspace, one
 network must not be evaluated from two threads at once; nothing in this
 package does so.
@@ -34,7 +32,7 @@ package does so.
 The kernels compute in the dtype of the network's parameters, float32 or
 float64.  :func:`train_score` returns float32 networks (``PARAM_DTYPE``):
 their parameters, Adam moments, gradients and workspace are float32, which
-halves the memory traffic of the element-wise passes and of ``exp`` that
+halves the memory traffic of the element-wise passes and of ``tanh`` that
 bound the cost of a forward pass, while the network's own fitting error is
 far larger than float32 rounding.  The whitening transform ``shift`` and
 ``scale`` stays float64, and so does everything outside the kernels:
@@ -68,21 +66,6 @@ _PARAM_DTYPES = frozenset([np.dtype(np.float32), np.dtype(np.float64)])
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _sigmoid(t: Array) -> Array:
-    """Logistic function ``1 / (1 + exp(-t))``, computed in place on ``t``.
-
-    For ``t`` below about -709.8 (-88.7 in float32), ``exp(-t)`` overflows
-    to inf and the result is exactly 0, as ``scipy.special.expit`` gives
-    there.
-    """
-    with np.errstate(over="ignore"):
-        np.negative(t, out=t)
-        np.exp(t, out=t)
-        t += 1.0
-        np.divide(1.0, t, out=t)
-    return t
-
-
 @dataclass
 class TrainConfig:
     """Hyper-parameters for denoising score matching.
@@ -100,37 +83,33 @@ class TrainConfig:
     learning_rate : float
         Adam's learning rate.  It decays to zero over the epochs on a cosine
         schedule, which removes the endpoint jitter of constant-rate Adam.
-    hidden : tuple of int or None
-        Widths of the sigmoid hidden layers.  An empty tuple gives a single
-        linear layer.  ``None`` (the default) sizes them from the state
-        dimension when :func:`train_score` builds the network: ``(64, 64)``
-        for one-dimensional states and ``(128, 128)`` otherwise (see
-        :func:`_layer_sizes` for the measurements behind the rule).
+    hidden : tuple of int
+        Widths of the tanh hidden layers.  An empty tuple gives a single
+        linear layer.  The default ``(64, 64)`` serves every state
+        dimension of the package's scenarios (the README's Performance
+        section has the measurements).
     """
 
     smoothing: float = 0.1
     epochs: int = 100
     batch_size: int = 128
     learning_rate: float = 1e-3
-    hidden: tuple[int, ...] | None = None
+    hidden: tuple[int, ...] = (64, 64)
 
     def __post_init__(self):
         self.smoothing = _check_real("smoothing", self.smoothing, "positive")
         _check_count("epochs", self.epochs)
         _check_count("batch_size", self.batch_size)
         self.learning_rate = _check_real("learning_rate", self.learning_rate, "non-negative")
-        if self.hidden is not None:
-            widths = tuple(self.hidden) if np.iterable(self.hidden) else None
-            if widths is None or not all(_is_integer(w) and w > 0 for w in widths):
-                raise ValueError(
-                    f"hidden widths must be positive integers or None, got {self.hidden!r}"
-                )
-            self.hidden = tuple(int(w) for w in widths)
+        widths = tuple(self.hidden) if np.iterable(self.hidden) else None
+        if widths is None or not all(_is_integer(w) and w > 0 for w in widths):
+            raise ValueError(f"hidden widths must be positive integers, got {self.hidden!r}")
+        self.hidden = tuple(int(w) for w in widths)
 
 
 @dataclass
 class ScoreNetwork:
-    """A sigmoid MLP score estimator with its whitening transform.
+    """A tanh MLP score estimator with its whitening transform.
 
     ``weights[l]`` has shape ``(out_l, in_l)`` and ``biases[l]`` shape
     ``(out_l,)``.  Input and output dimensions both equal the state
@@ -200,7 +179,7 @@ class ScoreNetwork:
                 np.matmul(a, w.T, out=out)
             out += b
             if l < last:
-                _sigmoid(out)
+                np.tanh(out, out=out)
             acts.append(out)
         return acts
 
@@ -324,11 +303,11 @@ def dsm_loss_gradient(
                 np.multiply(delta, w, out=prev)
             else:
                 np.matmul(delta, w, out=prev)
-            # sigmoid' = a * (1 - a)
-            prev *= a
-            one_minus_a = net._buffer(("tmp", l), m, w.shape[1])
-            np.subtract(1.0, a, out=one_minus_a)
-            prev *= one_minus_a
+            # tanh' = 1 - a**2
+            slope = net._buffer(("tmp", l), m, w.shape[1])
+            np.square(a, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            prev *= slope
             delta = prev
     return loss, weight_grads, bias_grads
 
@@ -342,28 +321,6 @@ def _init_layers(sizes: tuple[int, ...], rng: Generator) -> tuple[list[Array], l
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return weights, biases
-
-
-def _layer_sizes(d: int, hidden: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Layer widths of the network that :func:`train_score` builds for ``d``-dimensional states.
-
-    ``hidden=None`` gives two hidden layers of 64 for ``d = 1`` and of 128
-    otherwise.  Measured with ``bench/run.py`` (n=500, float32, 10
-    alternated pairs of runs on 2 shared vCPUs, medians):
-
-    - d=1: ``(64, 64)`` took about half the step time of ``(128, 128)``,
-      0.107 s against 0.202 s on ``dw_flip`` and 0.127 s against 0.227 s on
-      ``lg_exact``, and its RMSE and CRPS ratios to the exact posterior
-      stayed within 2% of those of ``(128, 128)`` (``dw_flip`` 1.003 and
-      1.026 against 1.003 and 1.010; ``lg_exact`` 1.014 and 1.002 against
-      1.019 and 1.020);
-    - d=20 (``l96_d20``): ``(64, 64)`` was about 7% worse in RMSE and CRPS
-      (RMSE ratio 0.906 against 0.847 over 4 seeds), so wider states keep
-      ``(128, 128)``.
-    """
-    if hidden is None:
-        hidden = (64, 64) if d == 1 else (128, 128)
-    return (d, *hidden, d)
 
 
 def train_score(
@@ -395,7 +352,7 @@ def train_score(
     whitened, shift, scale = whiten(ensemble)
     whitened = whitened.astype(PARAM_DTYPE)
     n, d = whitened.shape
-    sizes = _layer_sizes(d, config.hidden)
+    sizes = (d, *config.hidden, d)
     warm = init is not None
     if warm and init.layer_sizes != sizes:
         raise ValueError(

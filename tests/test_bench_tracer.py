@@ -32,10 +32,10 @@ def tracing(monkeypatch):
     return tracing
 
 
-def ssls_config(hidden) -> SslsConfig:
+def ssls_config(**train) -> SslsConfig:
     return SslsConfig(
         ensemble_size=N,
-        train=TrainConfig(epochs=2, batch_size=8, hidden=hidden),
+        train=TrainConfig(epochs=2, batch_size=8, **train),
         plan=AnnealPlan(betas=make_schedule(2), n_inner=2, step_size=0.01),
         init_epochs=3,
         seed=3,
@@ -55,14 +55,14 @@ def test_tracer_spans_and_records(tracing):
 
 
 def test_tracer_spans_and_records_at_default_width(tracing):
-    """The network sized from the state dimension (``hidden=None``)."""
-    check_spans_and_records(tracing, hidden=None)
+    """The network of the default ``TrainConfig``."""
+    check_spans_and_records(tracing)
 
 
-def check_spans_and_records(tracing, hidden):
+def check_spans_and_records(tracing, **train):
     model = make_linear_gaussian()
     run = simulate_reference(model, STEPS, rng=np.random.default_rng(0))
-    cfg = ssls_config(hidden)
+    cfg = ssls_config(**train)
     plain = run_all(model, run, cfg)
     originals = (assimilator.predict, assimilator.ensemble_metrics, baselines.run_enkf)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssls import cli
@@ -591,6 +591,7 @@ _JSON_VALUES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(slot=st.sampled_from(_FIELD_SLOTS), value=_JSON_VALUES)
+@example(slot=("double_well_nonlinear", "model", "obs_noise_std"), value=1.3407807929942597e154)
 def test_any_json_value_of_a_field_loads_or_exits_1(slot, value):
     """Counts are drawn small: a large ``n_temperatures`` is allocated when
     the config loads."""
@@ -609,6 +610,14 @@ def test_any_json_value_of_a_field_loads_or_exits_1(slot, value):
             return
     assert status == 1
     assert err.getvalue().startswith("config error: ") and "Traceback" not in err.getvalue()
+
+
+def test_count_beyond_int64_exits_1(tmp_path, capsys):
+    path = write_config(tmp_path, method="ssls", ssls=dict(FAST_SSLS, n_temperatures=2**63))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: 'ssls': n_temperatures must be at most {2**63 - 1}" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_negative_seed_exits_1(tmp_path, capsys):
@@ -798,47 +807,48 @@ def test_demo_config_loads_as_recorded(name):
     assert ssls_settings(cfg.ssls) == ssls
     assert np.array_equal(cfg.ssls.plan.betas, make_schedule(ssls["n_temperatures"]))
     assert (cfg.ssls.ensemble_size, cfg.ssls.train.hidden, cfg.ssls.store_ensembles) == (
-        size, None, False)
+        size, (64, 64), False)
 
 
 # SHA-1s of the CSVs that each demo config writes when shortened to 2 steps
-# and 40 particles, recorded before the config sections built the library's
-# objects.  The score network computes in float32, so a NumPy build with
-# other BLAS kernels may round differently.
+# and 40 particles.  The Kalman, EnKF and APF files were recorded before the
+# config sections built the library's objects; the SSLS files and columns,
+# with the tanh (64, 64) score network.  The network computes in float32, so
+# a NumPy build with other BLAS kernels may round differently.
 DEMO_CSV_SHA1 = {
     "compare_linear_gaussian.json": {
-        "comparison.csv": "71d6b90e351787ca79ca0e6d11555bcef1370de9",
+        "comparison.csv": "e81a8e59a9418f27671c69c547efe189186bfb84",
         "metrics_apf.csv": "6d5758c5cb8188511bcd5fbee2697b878da04ec5",
         "metrics_enkf.csv": "4d932c15e8bba60ef2123574c6fc945e4bb42126",
         "metrics_kalman.csv": "3f3b8151bb0c812140622f55cbab644e6e0edb71",
-        "metrics_ssls.csv": "875d0efc825f8f1a828d4dc47d0765ed3f67a611",
+        "metrics_ssls.csv": "0a195db3c8328a9032c92e68536bd19cd0c5cb49",
     },
     "double_well_linear.json": {
-        "comparison.csv": "350d7be2de26068990852bc977cd8a89f89b11ea",
+        "comparison.csv": "c2d14042d775226c2ddb06daa3241662e852e546",
         "metrics_apf.csv": "d94f4a720e6e3fa7d4ef00b8e60ada7f7314f413",
         "metrics_enkf.csv": "a3865995cb82915790a4b94d43f0713bc9e189a8",
-        "metrics_ssls.csv": "60bb5742b037cb6b42b5940dab3e3a830420b013",
+        "metrics_ssls.csv": "8b3451c39133834c45d6288367326c4e995bcee7",
     },
     "double_well_nonlinear.json": {
-        "comparison.csv": "e5b353667edaf5e3d2eec5a1492bf187ac8a41a9",
+        "comparison.csv": "24324447d47d6bf83cbcd5710a5b65d8e000ef2c",
         "metrics_apf.csv": "c44cecb5114846c34f101d333fc41fbbca457074",
         "metrics_enkf.csv": "a5c394a8f418dd87599a5e451103514f101c9675",
-        "metrics_ssls.csv": "9e125e086791b0a87fbfacb1f822153e3a329c4e",
+        "metrics_ssls.csv": "17c4e236a459dcaaa1ef1ef18a107bcb62576057",
     },
     "linear_gaussian.json": {
-        "metrics.csv": "875d0efc825f8f1a828d4dc47d0765ed3f67a611",
-        "summary.csv": "6412eea9686bdc676a63814c381119c1b67b1271",
-        "trajectory.csv": "05825c8e9bc7faa08c451397ea999045a1a4fbdf",
+        "metrics.csv": "0a195db3c8328a9032c92e68536bd19cd0c5cb49",
+        "summary.csv": "1cd96e17c95a0238da2ad395337d6d33e3efac81",
+        "trajectory.csv": "fee65a049b40727077e093ebe57ce07920ddc5ac",
     },
     "lorenz96.json": {
-        "metrics.csv": "bd2d05f480fb5b7ce43d40533722068da979937d",
-        "summary.csv": "7a1b0050b936675cd1a856863dadd00532a4f671",
-        "trajectory.csv": "20314678ad85bc7647e2823e600993d63dda5d49",
+        "metrics.csv": "a170d8527fb165015b36ff2ff90902950a0ff50a",
+        "summary.csv": "f71bf71455bc822d59a8ddecd46fed5bdd3c5ef8",
+        "trajectory.csv": "6e57db06516bb2584e6310fe13e5832543592401",
     },
     "shifted_prior.json": {
-        "metrics.csv": "a328d35489beab8ae760db234a57595c25987e0a",
-        "summary.csv": "c1b036079a226b7ea8e4ca462725dc6a49a11d71",
-        "trajectory.csv": "5853f5e8dcb7e783bb0a872fa0350c89f3498975",
+        "metrics.csv": "d9ca62a840103a1320efc41e7ddcb1922a5d045b",
+        "summary.csv": "28b75997d1fc2948ef106e00691771bd639e4a63",
+        "trajectory.csv": "c9e3fc51a4d3e77c899e688de57db35b6b44055d",
     },
 }
 

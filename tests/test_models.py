@@ -349,6 +349,13 @@ def test_negative_seed_rejected_where_built(count):
         build(**{name: -1})
 
 
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_count_beyond_int64_rejected_where_built(count):
+    build, name = COUNTS[count]
+    with pytest.raises(ValueError, match=f"^{name} must be at most {2**63 - 1}$"):
+        build(**{name: 2**63})
+
+
 @pytest.mark.parametrize("factory, kwargs", [
     (make_double_well, {"beta": np.nan}),
     (make_double_well, {"beta": np.inf}),
@@ -369,6 +376,15 @@ def test_non_finite_model_parameter_rejected_where_built(factory, kwargs):
     name = [k for k in kwargs if k != "measurement"][0]
     with pytest.raises(ValueError, match=f"^{name} must be"):
         factory(**kwargs)
+
+
+# 1e200 and 2**512 square beyond the float range (a Python OverflowError),
+# and 1e-200 squares to 0.
+@pytest.mark.parametrize("value", [1e200, 1e-200, 1.3407807929942597e154])
+@pytest.mark.parametrize("factory", [make_double_well, make_lorenz96])
+def test_obs_noise_std_whose_square_is_not_a_positive_float_rejected(factory, value):
+    with pytest.raises(ValueError, match="^obs_noise_std squared must be positive and finite"):
+        factory(obs_noise_std=value)
 
 
 def _outputs(model):

@@ -185,7 +185,7 @@ class TestForward:
         net = random_network(2, (5,), rng)
         x = rng.normal(size=(7, 2))
         (w0, w1), (b0, b1) = net.weights, net.biases
-        hidden = 1.0 / (1.0 + np.exp(-(x @ w0.T + b0)))
+        hidden = np.tanh(x @ w0.T + b0)
         assert np.allclose(net.forward(x), hidden @ w1.T + b1)
 
     def test_scale_chain_rule(self):
@@ -420,19 +420,19 @@ class TestTrainScore:
     @pytest.mark.parametrize(
         "d, hidden, sizes",
         [
-            (1, None, (1, 64, 64, 1)),
-            (2, None, (2, 128, 128, 2)),
-            (20, None, (20, 128, 128, 20)),
-            (1, (128, 128), (1, 128, 128, 1)),
-            (3, (8,), (3, 8, 3)),
+            (1, {}, (1, 64, 64, 1)),
+            (2, {}, (2, 64, 64, 2)),
+            (20, {}, (20, 64, 64, 20)),
+            (1, {"hidden": (128, 128)}, (1, 128, 128, 1)),
+            (3, {"hidden": (8,)}, (3, 8, 3)),
         ],
     )
-    def test_default_width_follows_the_state_dimension(self, d, hidden, sizes):
+    def test_default_width_is_one_for_every_state_dimension(self, d, hidden, sizes):
         ensemble = np.random.default_rng(18).normal(size=(16, d))
-        config = TrainConfig(epochs=1, hidden=hidden)
+        config = TrainConfig(epochs=1, **hidden)
         net = train_score(ensemble, config, rng=np.random.default_rng(0))
         assert net.layer_sizes == sizes
-        # A warm start rebuilds the same widths from the same rule.
+        # A warm start rebuilds the same widths.
         again = train_score(ensemble, config, init=net, rng=np.random.default_rng(1))
         assert again.layer_sizes == sizes
 
@@ -460,7 +460,8 @@ class TestTrainConfigValidation:
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
     @pytest.mark.parametrize(
-        "hidden", [(0,), (2.7,), (-3,), (16, 0), (True,), ("8",), 128, 64.0, np.int64(32)]
+        "hidden",
+        [(0,), (2.7,), (-3,), (16, 0), (True,), ("8",), 128, 64.0, np.int64(32), None],
     )
     def test_hidden_widths_must_be_positive_integers(self, hidden):
         with pytest.raises(ValueError, match="hidden widths must be positive integers"):
@@ -470,9 +471,8 @@ class TestTrainConfigValidation:
         assert TrainConfig(hidden=[np.int64(16), 8]).hidden == (16, 8)
         assert TrainConfig(hidden=()).hidden == ()
 
-    def test_hidden_defaults_to_none(self):
-        assert TrainConfig().hidden is None
-        assert TrainConfig(hidden=None).hidden is None
+    def test_hidden_defaults_to_two_layers_of_64(self):
+        assert TrainConfig().hidden == (64, 64)
 
     @pytest.mark.parametrize("name", ["smoothing", "learning_rate"])
     @pytest.mark.parametrize("value", [True, False, np.True_])
