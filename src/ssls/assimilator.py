@@ -139,8 +139,8 @@ def run_filter(
     ValueError
         Before any work, when ``ensemble_size`` is not an integer >= 2,
         ``seed`` is not an integer >= 0, the run's state or observation
-        width differs from the model's, or an observation is not finite
-        (the message names the first such step).
+        width differs from the model's, or a state or an observation is
+        not finite (the message names the first such step and which).
     AssimilationError
         When a step raises ``FloatingPointError``: score training or the
         Langevin update diverges, the APF's weights are all zero, or the
@@ -165,7 +165,8 @@ def run_filter(
 
 def _check_run(run: ReferenceRun, state_dim: int, obs_dim: int) -> None:
     """Raise ``ValueError`` unless the run's states are ``state_dim`` wide, its
-    observations ``obs_dim`` wide and finite; the message names the step."""
+    observations ``obs_dim`` wide, and both finite.  The message names the
+    first bad step, and the state when both of that step's arrays are bad."""
     for name, values, width in (
         ("state", run.states, state_dim),
         ("observation", run.observations, obs_dim),
@@ -175,9 +176,11 @@ def _check_run(run: ReferenceRun, state_dim: int, obs_dim: int) -> None:
                 f"step 1: {name} width {values.shape[1]} does not match "
                 f"the model's {name} dimension {width}"
             )
-    bad = np.flatnonzero(~np.isfinite(run.observations).all(axis=1))
-    if bad.size:
-        raise ValueError(f"step {bad[0] + 1}: observation is not finite")
+    # np.nonzero goes step by step, and a step's state columns precede its observation's.
+    steps, columns = np.nonzero(~np.isfinite(np.hstack((run.states, run.observations))))
+    if steps.size:
+        name = "state" if columns[0] < state_dim else "observation"
+        raise ValueError(f"step {steps[0] + 1}: {name} is not finite")
 
 
 def _record(k: int, ensemble: Array, run: ReferenceRun, store: bool) -> AssimilationRecord:

@@ -69,14 +69,15 @@ files carry 17 significant digits and round-trip exactly.
 The exit status is 1 for an invalid config, found before any simulation: a
 malformed file, an unknown or unused field, or a value that the model
 factory, ``shift_prior``, ``TrainConfig``, ``AnnealPlan``, ``make_schedule``,
-``SslsConfig`` or :class:`ExperimentConfig` rejects.  It is also 1 when the
-reference run that the config sets diverges (a state or observation is not
-finite; the message names the first such step), found before the output
-directory is made.  It is 2 when a filter run fails (SSLS, EnKF or APF):
-every failure inside a step is a ``FloatingPointError``, and the run raises
-it as one :class:`~ssls.assimilator.AssimilationError`, which pickles.  The
-message on standard error names the failing step, and when several methods
-fail it is that of the first of them in the config's order.
+``SslsConfig`` or :class:`ExperimentConfig` rejects, or a count too large
+to allocate.  It is also 1 when the reference run that the config sets
+diverges (a state or observation is not finite; the message names the first
+such step and which of the two), found before the output directory is made.
+It is 2 when a filter run fails (SSLS, EnKF or APF): every failure inside a
+step is a ``FloatingPointError``, and the run raises it as one
+:class:`~ssls.assimilator.AssimilationError`, which pickles.  The message on
+standard error names the failing step, and when several methods fail it is
+that of the first of them in the config's order.
 """
 
 import argparse
@@ -92,7 +93,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .assimilator import AssimilationError, AssimilationRecord, SslsConfig, assimilate
+from .assimilator import AssimilationError, AssimilationRecord, SslsConfig, _check_run, assimilate
 from .models import (
     LINEAR_GAUSSIAN,
     ModelSpec,
@@ -192,10 +193,11 @@ class ExperimentConfig:
 
 @contextlib.contextmanager
 def _where(section: str):
-    """Raise a ``ValueError`` of the library's checks as a ``ConfigError`` naming ``section``."""
+    """Raise a ``ValueError`` of the library's checks, or the ``MemoryError`` of
+    a count too large to allocate, as a ``ConfigError`` naming ``section``."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -432,17 +434,16 @@ def _run(config_path, seed, out, compare: bool) -> Path:
     ``run`` or the ``compare`` files, and return the output directory."""
     cfg = load_config(config_path, compare=compare)
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(seed))  # checks the seed again
+        cfg = dataclasses.replace(cfg, seed=seed)  # checks the seed
     if out is not None:
         cfg.out_dir = str(out)
     ref_child, method_root = np.random.SeedSequence(cfg.seed).spawn(2)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run is reported below
+    # `steps` may be too large to allocate; a diverging run is reported below.
+    with _where("top level"), np.errstate(over="ignore", invalid="ignore"):
         run = simulate_reference(cfg.model, cfg.steps, mutation_period=cfg.mutation_period,
                                  rng=np.random.default_rng(ref_child))
-    finite = np.isfinite(run.states).all(axis=1) & np.isfinite(run.observations).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"the reference run diverges: step {np.argmin(finite) + 1} has a "
-                          "state or observation that is not finite")
+    with _where("the reference run diverges"):
+        _check_run(run, cfg.model.state_dim, cfg.model.obs_dim)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [int(child.generate_state(1)[0]) for child in method_root.spawn(len(cfg.methods))]

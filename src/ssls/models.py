@@ -129,11 +129,6 @@ class ModelSpec:
     observation_mean: Callable[[Array], Array]
     obs_noise_std: float
 
-    def sample_observation(self, rng: Generator, state: Array) -> Array:
-        """Draw one noisy observation of ``state``."""
-        mean = np.asarray(self.observation_mean(state), dtype=float)
-        return mean + self.obs_noise_std * rng.standard_normal(mean.shape)
-
     def replace(self, **changes) -> "ModelSpec":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
@@ -466,7 +461,8 @@ def simulate_reference(
     x = model.reference_initial_sampler(rng, 1)[0]
     for k in range(1, steps + 1):
         states[k - 1] = x
-        observations[k - 1] = model.sample_observation(rng, x)
+        mean = np.asarray(model.observation_mean(x), dtype=float)
+        observations[k - 1] = mean + model.obs_noise_std * rng.standard_normal(mean.shape)
         if k < steps:
             # A flip after the last stored state would change nothing.
             if mutation_period is not None and k % mutation_period == 0:

@@ -37,9 +37,8 @@ def make_schedule(n_temperatures: int) -> Array:
     Langevin Monte Carlo.
     """
     _check_count("n_temperatures", n_temperatures)
-    betas = np.arange(1, n_temperatures + 1) / n_temperatures
-    betas[-1] = 1.0
-    return betas
+    # IEEE 754 division makes the last entry, M / M, exactly 1.
+    return np.arange(1, n_temperatures + 1) / n_temperatures
 
 
 @dataclass

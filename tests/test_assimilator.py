@@ -258,12 +258,14 @@ def no_prior(rng, n):
 class TestInputChecks:
     """``run_filter`` checks a run against the model before any work."""
 
+    @pytest.mark.parametrize("name", ["state", "observation"])
     @pytest.mark.parametrize("method", sorted(FILTERS))
-    def test_non_finite_observation_names_first_bad_step(self, method):
+    def test_non_finite_observation_names_first_bad_step(self, method, name):
         model = make_linear_gaussian().replace(initial_prior_sampler=no_prior)
-        observations = np.array([[0.1], [np.nan], [0.3], [np.inf]])
-        run = ReferenceRun(states=np.zeros((4, 1)), observations=observations)
-        with pytest.raises(ValueError, match="step 2: observation is not finite"):
+        arrays = {"states": np.zeros((4, 1)), "observations": np.zeros((4, 1))}
+        arrays[name + "s"][:, 0] = [0.1, np.nan, 0.3, np.inf]
+        run = ReferenceRun(**arrays)
+        with pytest.raises(ValueError, match=f"step 2: {name} is not finite"):
             FILTERS[method](model, run, 20)
 
     @pytest.mark.parametrize("method", sorted(FILTERS))

@@ -301,13 +301,19 @@ class TestDrivers:
             assert r.std.tobytes() == np.sqrt(np.diag(covs[r.step - 1])).tobytes()
 
     def test_run_kalman_checks_the_run(self):
-        """A NaN observation at step 3 is rejected before any work, as the
-        ensemble filters reject it, instead of giving NaN records from step 3 on."""
+        """A NaN observation or state at step 3 is rejected before any work, as
+        the ensemble filters reject it, instead of giving NaN records from
+        step 3 on."""
         run = simulate_reference(make_linear_gaussian(), 5, rng=np.random.default_rng(15))
         observations = run.observations.copy()
         observations[2] = np.nan
         with pytest.raises(ValueError, match="step 3: observation is not finite"):
             run_kalman(lg_spec(), ReferenceRun(states=run.states, observations=observations))
+        states = run.states.copy()
+        states[2] = np.nan
+        for obs in (run.observations, observations):  # the state is named when both are bad
+            with pytest.raises(ValueError, match="step 3: state is not finite"):
+                run_kalman(lg_spec(), ReferenceRun(states=states, observations=obs))
         one, two = np.zeros((3, 1)), np.zeros((3, 2))
         with pytest.raises(ValueError, match="state width 2 does not match .* 1"):
             run_kalman(lg_spec(), ReferenceRun(states=two, observations=one))

@@ -631,6 +631,44 @@ def test_negative_seed_exits_1(tmp_path, capsys):
     assert main(["run", str(path), "--seed", "5"]) == 0
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "7"])
+@pytest.mark.parametrize("runner", [run_experiment, compare_methods])
+def test_seed_argument_must_be_an_integer(tmp_path, monkeypatch, runner, seed):
+    """``ExperimentConfig`` checks the seed argument: ``True`` does not run as 1."""
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_reference", lambda *args, **kw: simulated.append(args))
+    if runner is compare_methods:
+        path = write_compare_config(tmp_path, ["enkf", "apf"])
+    else:
+        path = write_config(tmp_path, method="enkf")
+    with pytest.raises(ConfigError, match="^top level: seed must be an integer, got "):
+        runner(path, seed=seed)
+    assert simulated == []
+
+
+_ALLOCATION_FAILED = MemoryError("Unable to allocate 8.00 TiB for an array")
+
+
+def _fail_allocation(*args, **kwargs):
+    raise _ALLOCATION_FAILED
+
+
+@pytest.mark.parametrize("where", ["model factory", "reference run"])
+def test_count_too_large_to_allocate_exits_1(tmp_path, capsys, monkeypatch, where):
+    """NumPy raises ``MemoryError`` for an array too large to allocate; it is
+    raised here by a patch, since a real one would be attempted."""
+    if where == "reference run":
+        monkeypatch.setattr(cli, "simulate_reference", _fail_allocation)
+        section = "top level"
+    else:
+        monkeypatch.setitem(cli._MODELS, "linear_gaussian", (_fail_allocation, ()))
+        section = "'model'"
+    assert main(["run", str(write_config(tmp_path, method="enkf"))]) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {section}: {_ALLOCATION_FAILED}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_diverging_reference_run_exits_1_before_the_output_directory(tmp_path, capsys, command):
     # A Lorenz-96 step of dt=2 overflows in the spin-up of the initial state.
@@ -642,7 +680,7 @@ def test_diverging_reference_run_exits_1_before_the_output_directory(tmp_path, c
         path.write_text(json.dumps(raw))
     assert main([command, str(path)]) == 1
     err = capsys.readouterr().err
-    assert "config error: the reference run diverges: step 1 " in err
+    assert "config error: the reference run diverges: step 1: state is not finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -658,7 +696,7 @@ def test_diverging_reference_run_names_the_first_bad_step(tmp_path, capsys, monk
     monkeypatch.setattr(cli, "simulate_reference", diverging)
     path = write_config(tmp_path, method="enkf", steps=4)
     assert main(["run", str(path)]) == 1
-    assert "step 3 has a state or observation that is not finite" in capsys.readouterr().err
+    assert "step 3: observation is not finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
